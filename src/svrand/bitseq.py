@@ -30,64 +30,75 @@ _VALID_BITS = frozenset("01")
 class BitSequence:
     """Immutable sequence of 0/1 symbols.
 
-    Stored as a compact character string; converts to a numpy 0/1 array on
-    demand for the vectorised counting path.
+    Stored as a read-only uint8 array of 0s and 1s; the text form is derived
+    on demand.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_arr",)
 
     def __init__(self, bits: str | Iterable[int] = ""):
-        if not isinstance(bits, str):
-            bits = "".join("1" if b else "0" for b in bits)
-        if not set(bits) <= _VALID_BITS:
-            bad = sorted(set(bits) - _VALID_BITS)
-            raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
-        self._bits = bits
+        if isinstance(bits, str):
+            arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+            if (arr > 1).any():
+                bad = sorted(set(bits) - _VALID_BITS)
+                raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
+        else:
+            arr = np.array([1 if b else 0 for b in bits], dtype=np.uint8)
+        arr.flags.writeable = False
+        self._arr = arr
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "BitSequence":
+        """Adopt a uint8 array already known to hold only 0s and 1s."""
+        seq = cls.__new__(cls)
+        arr.flags.writeable = False
+        seq._arr = arr
+        return seq
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitSequence":
-        """Build from a numpy array of 0/1 integers."""
+        """Build from a numpy array of 0/1 values of any numeric or bool type."""
         arr = np.asarray(arr)
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        bits = arr.astype(np.uint8)
+        if (bits > 1).any() or (bits != arr).any():
             raise ValueError("array elements must be 0 or 1")
-        return cls((arr.astype(np.uint8) + ord("0")).tobytes().decode("ascii"))
+        return cls._wrap(bits)
 
     @property
     def bits(self) -> str:
-        return self._bits
+        return (self._arr + ord("0")).tobytes().decode("ascii")
 
     def to_array(self) -> np.ndarray:
-        """Return the bits as an int64 array of 0s and 1s."""
-        raw = np.frombuffer(self._bits.encode("ascii"), dtype=np.uint8)
-        return (raw - ord("0")).astype(np.int64)
+        """Return the bits as a read-only uint8 array of 0s and 1s."""
+        return self._arr
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._arr.size
 
     def __iter__(self) -> Iterator[int]:
-        return (ord(c) - ord("0") for c in self._bits)
+        return iter(self._arr.tolist())
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return BitSequence(self._bits[idx])
-        return ord(self._bits[idx]) - ord("0")
+            return BitSequence._wrap(self._arr[idx])
+        return int(self._arr[idx])
 
     def __add__(self, other: "BitSequence") -> "BitSequence":
-        return BitSequence(self._bits + other._bits)
+        return BitSequence._wrap(np.concatenate([self._arr, other._arr]))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitSequence) and self._bits == other._bits
+        return isinstance(other, BitSequence) and np.array_equal(self._arr, other._arr)
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash(self._arr.tobytes())
 
     def __str__(self) -> str:
-        return self._bits
+        return self.bits
 
     def __repr__(self) -> str:
-        if len(self._bits) <= 32:
-            return f"BitSequence({self._bits!r})"
-        return f"BitSequence({self._bits[:29]!r}..., len={len(self._bits)})"
+        if len(self) <= 32:
+            return f"BitSequence({self.bits!r})"
+        return f"BitSequence({self[:29].bits!r}..., len={len(self)})"
 
 
 class CountTable:
@@ -176,41 +187,44 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
     return CountTable(max_len, mode, n, levels)
 
 
-def count_substrings_fast(s: BitSequence, max_len: int) -> CountTable:
-    """Optimised linear-mode counter; output equals count_substrings(s, L, linear).
+def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
+    """Production counter; output equals count_substrings(s, max_len, mode).
 
-    Windows are encoded as machine integers built by shifting in one bit at a
-    time.  For each length only the patterns starting with 0 are tallied from
-    the sequence; counts of patterns starting with 1 follow from the
-    prefix-extension identity
-
-        count(1w) = count(w) - count(0w) - [sequence starts with w]
-
-    using the already-complete table one length shorter.
+    One pass builds the integer value of every length-L window (L = max_len,
+    or n when a linear sequence is shorter) in place and tallies them with a
+    single bincount.  Shorter lengths follow by marginalising away the last
+    bit, level[h] = level[h + 1] summed over pattern pairs, which misses only
+    the window starting at n - h: in linear mode that window, the last h bits,
+    is added back.  Cyclic mode runs the same pass over the sequence with its
+    first L - 1 bits appended, so no window is missed; it needs L <= n.
     """
+    if mode not in ("linear", "cyclic"):
+        raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
     _check_max_len(max_len)
     bits = s.to_array()
     n = bits.size
-    levels: list[np.ndarray] = []
-    window_vals = bits  # values of all length-h windows, updated per level
-    prev_full: np.ndarray | None = None
-    for h in range(1, max_len + 1):
-        if h > n:
-            levels.append(np.zeros(1 << h, dtype=np.int64))
-            continue
-        if h > 1:
-            window_vals = (window_vals[: n - h + 1] << 1) | bits[h - 1:]
-        zero_start = window_vals[bits[: n - h + 1] == 0]
-        low = np.bincount(zero_start, minlength=1 << (h - 1)).astype(np.int64)
-        if h == 1:
-            high = np.array([n - low[0]], dtype=np.int64)
-        else:
-            high = prev_full - low
-            high[int(s.bits[: h - 1], 2)] -= 1  # the pattern opening the sequence
-        full = np.concatenate([low, high])
-        levels.append(full)
-        prev_full = full
-    return CountTable(max_len, "linear", n, levels)
+    if mode == "cyclic":
+        if max_len > n:
+            raise ValueError(
+                f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
+        bits = np.concatenate([bits, bits[:max_len - 1]])
+    top = min(max_len, n)
+    counted: list[np.ndarray] = []  # levels top, top - 1, ..., 1
+    if top:
+        windows = bits.size - top + 1
+        vals = bits[:windows].astype(np.int64)
+        for j in range(1, top):
+            vals <<= 1
+            vals |= bits[j:j + windows]
+        last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
+        counted.append(np.bincount(vals, minlength=1 << top))
+        for h in range(top - 1, 0, -1):
+            level = counted[-1].reshape(-1, 2).sum(axis=1)
+            if mode == "linear":
+                level[last & ((1 << h) - 1)] += 1
+            counted.append(level)
+    zeros = [np.zeros(1 << h, dtype=np.int64) for h in range(top + 1, max_len + 1)]
+    return CountTable(max_len, mode, n, counted[::-1] + zeros)
 
 
 def debruijn(order: int, *, max_bits: int = DEBRUIJN_BUDGET_BITS) -> BitSequence:

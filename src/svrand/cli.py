@@ -57,7 +57,6 @@ class RunConfig:
     force_h: bool = False
     mode: str = "full"
     out_format: str = "both"
-    seed: int = 0
     meta_pattern: str = DEFAULT_META_PATTERN
 
     def resolved(self) -> dict:
@@ -72,7 +71,6 @@ class RunConfig:
             "force_h": self.force_h,
             "mode": self.mode,
             "format": self.out_format,
-            "seed": self.seed,
             "meta_pattern": self.meta_pattern,
         }
 
@@ -86,16 +84,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
-    paths: list[str] = []
+    """Files matched by the patterns, in order; a file matched twice counts once."""
+    paths: dict[Path, str] = {}
     for pattern in patterns:
         hits = sorted(globlib.glob(pattern))
-        if hits:
-            paths.extend(hits)
-        elif Path(pattern).exists():
-            paths.append(pattern)
-        else:
-            raise FileNotFoundError(f"no input matches {pattern!r}")
-    return paths
+        if not hits:
+            if not Path(pattern).exists():
+                raise FileNotFoundError(f"no input matches {pattern!r}")
+            hits = [pattern]
+        for hit in hits:
+            paths.setdefault(Path(hit).resolve(), hit)
+    return list(paths.values())
 
 
 def _preprocess(series, config: RunConfig):
@@ -131,7 +130,6 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig,
     try:
         weighted = weighted_epsilon(
             profile, allow_custom_h=profile.max_h != max_history(n))
-        profile = profile.with_weighted(weighted)
     except ValueError as exc:
         warnings.warn(f"{meta.id}: weighted epsilon unavailable: {exc}")
     return PersonResult(meta=meta, n_bits=n, profile=profile,
@@ -160,30 +158,35 @@ def run_analysis(config: RunConfig
         people = [(meta, bits) for (meta, _), bits in zip(people, trimmed)]
     elif config.mode == "merged":
         merged = merge_persons([bits for _, bits in people])
-        people = [(PersonMeta(id=f"merged({len(paths)})"), merged.bits)]
+        people = [(PersonMeta(id=f"merged({len(paths)})"), merged)]
 
     results = [_estimate(meta, bits, config, tag) for meta, bits in people]
     stats, unknown = bucket(results)
     return results, stats, unknown
 
 
-def _write_reports(config: RunConfig, results, stats, unknown) -> list[Path]:
-    out = Path(config.out_dir)
+def _write_reports(out_dir: str, out_format: str, resolved: dict, stats, unknown,
+                   results: list[PersonResult] | None = None) -> None:
+    """Write the reports and print their paths.
+
+    An analysis passes its person results and gets persons.csv, cohorts.csv
+    and report.json; a re-aggregation passes none and gets cohorts.csv and
+    cohorts.json.
+    """
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = config.resolved()
-    written = []
-    if config.out_format in ("csv", "both"):
-        for name, text in [("persons.csv", render_persons_csv(results, resolved)),
-                           ("cohorts.csv", render_cohorts_csv(stats, resolved))]:
-            path = out / name
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    if config.out_format in ("json", "both"):
-        path = out / "report.json"
-        path.write_text(render_json(results, stats, unknown, resolved),
-                        encoding="utf-8")
-        written.append(path)
-    return written
+    files = []
+    if out_format in ("csv", "both"):
+        if results is not None:
+            files.append(("persons.csv", render_persons_csv(results, resolved)))
+        files.append(("cohorts.csv", render_cohorts_csv(stats, resolved)))
+    if out_format in ("json", "both"):
+        files.append(("report.json" if results is not None else "cohorts.json",
+                      render_json(results or [], stats, unknown, resolved)))
+    for name, text in files:
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        print(path)
 
 
 # cut_trends accepts any run lengths; the command line exposes only these
@@ -202,7 +205,7 @@ def _parse_cut(text: str) -> tuple[int, int]:
     return i, j
 
 
-def _resolve_config(args: argparse.Namespace, mode: str | None) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     discretizer = args.discretizer or "accel"
     if discretizer != "accel" and args.eta1 is not None:
         raise UsageError(f"--eta1 applies only to the accel discretizer, "
@@ -213,7 +216,8 @@ def _resolve_config(args: argparse.Namespace, mode: str | None) -> RunConfig:
     if discretizer == "rapid" and args.eta2 is None:
         raise UsageError("the rapid discretizer requires --eta2")
 
-    cut = _parse_cut(args.cut) if getattr(args, "cut", None) else None
+    cut = _parse_cut(args.cut) if args.cut else None
+    mode = args.mode
     if mode is None:
         mode = "cut" if cut is not None else "full"
     if mode == "cut" and cut is None:
@@ -248,24 +252,15 @@ def _resolve_config(args: argparse.Namespace, mode: str | None) -> RunConfig:
         force_h=args.force_h,
         mode=mode,
         out_format=args.format,
-        seed=args.seed,
         meta_pattern=args.meta_pattern,
     )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, args.mode)
+    config = _resolve_config(args)
     results, stats, unknown = run_analysis(config)
-    for path in _write_reports(config, results, stats, unknown):
-        print(path)
-    return EXIT_OK
-
-
-def cmd_merge(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, "merged")
-    results, stats, unknown = run_analysis(config)
-    for path in _write_reports(config, results, stats, unknown):
-        print(path)
+    _write_reports(config.out_dir, config.out_format, config.resolved(), stats, unknown,
+                   results)
     return EXIT_OK
 
 
@@ -305,20 +300,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             weighted=float(row["eps_weighted"]) if row["eps_weighted"] else None,
             mode_tag=row["mode"]))
     stats, unknown = bucket(results)
-    resolved = {"inputs": [args.persons_csv], "mode": "stats"}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if args.format in ("csv", "both"):
-        path = out / "cohorts.csv"
-        path.write_text(render_cohorts_csv(stats, resolved), encoding="utf-8")
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = out / "cohorts.json"
-        path.write_text(render_json([], stats, unknown, resolved), encoding="utf-8")
-        written.append(path)
-    for path in written:
-        print(path)
+    _write_reports(args.out, args.format, {"inputs": [args.persons_csv], "mode": "stats"},
+                   stats, unknown)
     return EXIT_OK
 
 
@@ -346,8 +329,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser, with_mode: bool) -> N
                         help="allow an explicit --h beyond floor(log2 n) - 1")
     parser.add_argument("--format", choices=["csv", "json", "both"],
                         default="both", help="report format(s)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report config")
     parser.add_argument("--meta-pattern", default=DEFAULT_META_PATTERN,
                         help="regex with sex/age/start groups for file names")
 
@@ -367,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge",
                        help="analyze the concatenation of all persons")
     _add_pipeline_options(p, with_mode=False)
-    p.set_defaults(func=cmd_merge)
+    p.set_defaults(func=cmd_analyze, mode="merged")
 
     p = sub.add_parser("synth",
                        help="write a synthetic RR file")

@@ -4,7 +4,7 @@ trim/merge experiment helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "quartiles",
     "trim_to_min",
     "merge_persons",
-    "MergedSequence",
 ]
 
 
@@ -102,15 +101,8 @@ def trim_to_min(sequences: Sequence[BitSequence]) -> list[BitSequence]:
     return [s[:shortest] for s in sequences]
 
 
-class MergedSequence(NamedTuple):
-    bits: BitSequence
-    boundaries: tuple[int, ...]  # start offset per person, then the total length
-
-
-def merge_persons(sequences: Sequence[BitSequence]) -> MergedSequence:
-    """Concatenate per-person sequences into one, keeping the join offsets."""
-    boundaries = [0]
-    for s in sequences:
-        boundaries.append(boundaries[-1] + len(s))
-    merged = BitSequence("".join(s.bits for s in sequences))
-    return MergedSequence(merged, tuple(boundaries))
+def merge_persons(sequences: Sequence[BitSequence]) -> BitSequence:
+    """Concatenate per-person sequences into one, in order."""
+    if not sequences:
+        return BitSequence()
+    return BitSequence._wrap(np.concatenate([s.to_array() for s in sequences]))

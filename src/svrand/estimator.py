@@ -10,11 +10,11 @@ whose counts carry little statistical evidence.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from svrand.bitseq import BitSequence, CountTable, count_substrings, count_substrings_fast
+from svrand.bitseq import BitSequence, CountTable, count_substrings_fast
 
 __all__ = [
     "EpsilonProfile",
@@ -62,7 +62,6 @@ class EpsilonProfile:
     requested_h: int | None = None
     clamped: bool = False
     forced: bool = False
-    weighted: float | None = None
 
     def __post_init__(self):
         if len(self.epsilons) != self.max_h + 1:
@@ -74,9 +73,6 @@ class EpsilonProfile:
             raise ValueError(
                 f"max_h={self.max_h} exceeds the admissible bound "
                 f"{max_history(self.n)} for n={self.n} without forced=True")
-
-    def with_weighted(self, value: float) -> "EpsilonProfile":
-        return replace(self, weighted=value)
 
 
 def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | None:
@@ -142,12 +138,7 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
         warnings.warn(
             f"requested history length {max_h} exceeds floor(log2 n) - 1 = {bound} "
             f"for n={n}; clamped to {bound}")
-    if mode == "linear":
-        counts = count_substrings_fast(s, use_h + 1)
-    elif mode == "cyclic":
-        counts = count_substrings(s, use_h + 1, mode="cyclic")
-    else:
-        raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
+    counts = count_substrings_fast(s, use_h + 1, mode)
     eps = tuple(epsilon_h(counts, h, exact=exact) for h in range(use_h + 1))
     return EpsilonProfile(
         epsilons=eps, max_h=use_h, n=n, mode=mode,

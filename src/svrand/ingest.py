@@ -7,7 +7,6 @@ File layout: one header line, then whitespace-separated rows of
 
 from __future__ import annotations
 
-import io
 import re
 import statistics
 import warnings
@@ -219,12 +218,6 @@ def write_holter(series: RRSeries, dest) -> None:
     for r in series.records:
         dest.write(f"{r.index}\t{_format_clock(r.time)}\t{r.interval!r}\t"
                    f"{r.annotation}\n")
-
-
-def serialize_holter(series: RRSeries) -> str:
-    buf = io.StringIO()
-    write_holter(series, buf)
-    return buf.getvalue()
 
 
 def filter_normal(series: RRSeries) -> RRSeries:

@@ -9,7 +9,7 @@ import numpy as np
 from svrand.bitseq import BitSequence
 from svrand.ingest import NORMAL_ANNOTATION, RRRecord, RRSeries
 
-__all__ = ["SourceSpec", "biased_coin", "synthetic_rr", "generate"]
+__all__ = ["SourceSpec", "biased_coin", "synthetic_rr"]
 
 _MS_PER_DAY = 86_400_000
 
@@ -79,10 +79,3 @@ def synthetic_rr(spec: SourceSpec) -> RRSeries:
                  interval=float(intervals[k]), annotation=NORMAL_ANNOTATION)
         for k in range(spec.n))
     return RRSeries(records)
-
-
-def generate(spec: SourceSpec) -> BitSequence | RRSeries:
-    """Dispatch on spec.kind."""
-    if spec.kind == "biased_coin":
-        return biased_coin(spec.n, spec.epsilon, spec.seed)
-    return synthetic_rr(spec)

@@ -72,10 +72,10 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     brought together by a deletion never form a new run within the pass.
     The output is a subsequence of the input.
     """
-    text = s.bits
-    ones = "1" * pattern.accel
-    zeros = "0" * pattern.decel
-    kept: list[str] = []
+    text = s.to_array().tobytes()
+    ones = b"\x01" * pattern.accel
+    zeros = b"\x00" * pattern.decel
+    kept: list[bytes] = []
     pos = 0
     prev_end = 0
     while True:
@@ -90,4 +90,4 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
         kept.append(text[prev_end:start])
         pos = prev_end = start + pattern.decel
     kept.append(text[prev_end:])
-    return BitSequence("".join(kept))
+    return BitSequence._wrap(np.frombuffer(b"".join(kept), dtype=np.uint8))

@@ -26,6 +26,10 @@ class TestBitSequence:
         s = BitSequence("01") + BitSequence("10")
         assert str(s) == "0110"
         assert BitSequence.from_array(s.to_array()) == s
+        for dtype in (np.uint8, np.int64, bool):
+            assert BitSequence.from_array(np.array([0, 1, 1, 0], dtype=dtype)) == s
+        with pytest.raises(ValueError):
+            s.to_array()[0] = 1  # the stored array is read-only
 
     def test_from_array_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -122,6 +126,9 @@ class TestCountSubstringsFast:
             max_len = rng.randrange(1, 11)
             s = random_bits(rng, n)
             assert count_substrings_fast(s, max_len) == count_substrings(s, max_len)
+            if max_len <= n:
+                assert (count_substrings_fast(s, max_len, "cyclic")
+                        == count_substrings(s, max_len, "cyclic"))
 
 
 class TestDebruijn:

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,15 @@ class TestAnalyzeCommand:
         assert (out_csv / "persons.csv").exists() and not (out_csv / "report.json").exists()
         assert (out_json / "report.json").exists() and not (out_json / "persons.csv").exists()
 
+    def test_file_matched_twice_counts_once(self, tmp_path, capsys):
+        path = tmp_path / "F_42_221500.txt"
+        shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), str(tmp_path / "*.txt"),
+                     "--out", str(out), "--format", "json"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert len(doc["persons"]) == 1 and doc["cohorts"][0]["count"] == 1
+
     def test_json_embeds_config_and_matches_csv(self, tmp_path, capsys):
         path = synth_file(tmp_path)
         out = tmp_path / "rep"
@@ -234,6 +245,12 @@ class TestExitCodes:
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.txt")]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_cyclic_history_beyond_length_is_input_error(self, tmp_path, capsys):
+        path = synth_file(tmp_path, n=8)  # 7 bits
+        assert main(["analyze", str(path), "--cyclic", "--h", "8", "--force-h",
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "L=9 for n=7" in capsys.readouterr().err
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "F_20_000000.txt"

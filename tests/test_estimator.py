@@ -131,6 +131,10 @@ class TestEpsilonProfile:
         assert profile.epsilons[4] == 0.5  # sole length-4 history, no successor seen
         assert profile.epsilons[5] is None  # no length-5 history occurs at all
 
+    def test_forced_cyclic_beyond_length_is_rejected(self):
+        with pytest.raises(ValueError, match=r"L=7 for n=4"):
+            epsilon_profile(BitSequence("0110"), 6, mode="cyclic", force_h=True)
+
     def test_smaller_request_allowed(self):
         profile = epsilon_profile(biased_coin(256, 0.0, 1), max_h=2)
         assert profile.max_h == 2 and not profile.clamped

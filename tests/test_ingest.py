@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from svrand.ingest import (HolterFormatError, RRRecord, RRSeries, edit_perturbations,
-                           extract_nocturnal, filter_normal, parse_holter,
-                           serialize_holter, write_holter)
+                           extract_nocturnal, filter_normal, parse_holter, write_holter)
+
+
+def serialized(series):
+    buf = io.StringIO()
+    write_holter(series, buf)
+    return buf.getvalue()
+
 
 SAMPLE = """\
 index\ttime\tinterval\tannotation
@@ -81,14 +87,14 @@ class TestParseHolter:
         path = tmp_path / "F_63_221500.txt"
         path.write_text(SAMPLE)
         _, series = parse_holter(path)
-        text = serialize_holter(series)
+        text = serialized(series)
         _, reparsed = parse_holter(io.StringIO(text))
         assert reparsed == series
-        assert serialize_holter(reparsed) == text
+        assert serialized(reparsed) == text
 
     def test_serializer_uses_single_tabs(self, tmp_path):
         series = RRSeries((RRRecord(1, 0.5, 0.8046875, "N"),), header="hdr line")
-        text = serialize_holter(series)
+        text = serialized(series)
         assert text == "hdr line\n1\t00:00:00.500\t0.8046875\tN\n"
         out = tmp_path / "rr.txt"
         write_holter(series, out)

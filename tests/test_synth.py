@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svrand.synth import SourceSpec, biased_coin, generate, synthetic_rr
+from svrand.synth import SourceSpec, biased_coin, synthetic_rr
 from svrand.transform import discretize_accel
 
 
@@ -76,8 +76,3 @@ class TestSyntheticRR:
             SourceSpec(kind="dice", n=10, seed=0)
         with pytest.raises(ValueError):
             synthetic_rr(SourceSpec(kind="biased_coin", n=10, seed=0))
-
-    def test_generate_dispatch(self):
-        assert generate(SourceSpec(kind="biased_coin", n=16, seed=5, epsilon=0.5)) \
-            == biased_coin(16, 0.5, 5)
-        assert generate(rr_spec(seed=6)) == synthetic_rr(rr_spec(seed=6))
