@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
+import os
 import re
 import sys
 import traceback
@@ -84,7 +85,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
-    """Files matched by the patterns, in order; a file matched twice counts once."""
+    """Files matched by the patterns, in order; a file matched twice counts once.
+
+    Two different files with the same person id (file stem) are an input
+    error, so that no person is counted twice.
+    """
     paths: dict[Path, str] = {}
     for pattern in patterns:
         hits = sorted(globlib.glob(pattern))
@@ -94,6 +99,12 @@ def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
             hits = [pattern]
         for hit in hits:
             paths.setdefault(Path(hit).resolve(), hit)
+    by_id: dict[str, str] = {}
+    for path in paths.values():
+        other = by_id.setdefault(Path(path).stem, path)
+        if other != path:
+            raise ValueError(f"person id {Path(path).stem!r} is given by two files: "
+                             f"{other} and {path}")
     return list(paths.values())
 
 
@@ -184,8 +195,15 @@ def _write_reports(out_dir: str, out_format: str, resolved: dict, stats, unknown
         files.append(("report.json" if results is not None else "cohorts.json",
                       render_json(results or [], stats, unknown, resolved)))
     for name, text in files:
+        # Written whole or not at all: a failed write leaves any earlier
+        # report in place and removes its temporary file.
         path = out / name
-        path.write_text(text, encoding="utf-8")
+        tmp = out / f".{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         print(path)
 
 

@@ -105,8 +105,13 @@ def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | Non
     occurring = den > 0
     if not occurring.any():
         return None
-    ratios = num.reshape(-1, 2)[occurring] / den[occurring, None]
-    return float(np.max(np.abs(ratios - 0.5)))
+    # One buffer: histories that never occur keep the ratio 1/2, whose zero
+    # deviation cannot raise the maximum.
+    pairs = num.reshape(-1, 2)
+    ratios = np.divide(pairs, den[:, None], out=np.full(pairs.shape, 0.5),
+                       where=occurring[:, None])
+    ratios -= 0.5
+    return float(np.abs(ratios, out=ratios).max())
 
 
 def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linear",
@@ -171,4 +176,7 @@ def weighted_epsilon(profile: EpsilonProfile, *, allow_custom_h: bool = False) -
             f"{max_history(profile.n)} for n={profile.n}; pass allow_custom_h=True "
             f"to aggregate anyway")
     weights = history_weights(profile.max_h)
-    return float(np.dot(weights, np.asarray(profile.epsilons, dtype=float)))
+    eps = np.asarray(profile.epsilons, dtype=float)
+    # A convex combination; rounding in the dot product must not carry it
+    # outside the range of the per-history estimates.
+    return float(np.clip(np.dot(weights, eps), eps.min(), eps.max()))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from svrand.bitseq import BitSequence
-from svrand.ingest import NORMAL_ANNOTATION, RRRecord, RRSeries
+from svrand.ingest import NORMAL_ANNOTATION, RRSeries
 
 __all__ = ["SourceSpec", "biased_coin", "synthetic_rr"]
 
@@ -74,8 +74,6 @@ def synthetic_rr(spec: SourceSpec) -> RRSeries:
                  + spec.amplitude * np.sin(2 * np.pi * i / spec.period)
                  + rng.uniform(-spec.noise, spec.noise, spec.n))
     times_ms = np.round(np.cumsum(intervals) * 1000).astype(np.int64) % _MS_PER_DAY
-    records = tuple(
-        RRRecord(index=k + 1, time=times_ms[k] / 1000.0,
-                 interval=float(intervals[k]), annotation=NORMAL_ANNOTATION)
-        for k in range(spec.n))
-    return RRSeries(records)
+    return RRSeries._from_columns(
+        i, times_ms / 1000.0, intervals,
+        np.full(spec.n, NORMAL_ANNOTATION), np.zeros(spec.n, dtype=bool))

@@ -36,7 +36,7 @@ def discretize_accel(series: RRSeries, eta1: float = 0.0) -> BitSequence:
     One bit per record from the second onward; the first record has no
     predecessor and produces no bit.
     """
-    iv = series.intervals()
+    iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")
     return BitSequence.from_array(np.where(iv[1:] >= iv[:-1] + eta1, 0, 1))
@@ -46,7 +46,7 @@ def discretize_rapid(series: RRSeries, eta2: float) -> BitSequence:
     """0 where the interval changes by at least eta2 in either direction, else 1."""
     if eta2 < 0:
         raise ValueError(f"threshold must be >= 0, got {eta2}")
-    iv = series.intervals()
+    iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")
     return BitSequence.from_array(np.where(np.abs(np.diff(iv)) >= eta2, 0, 1))
@@ -54,7 +54,7 @@ def discretize_rapid(series: RRSeries, eta2: float) -> BitSequence:
 
 def discretize_mono(series: RRSeries) -> BitSequence:
     """0 where three consecutive intervals are monotone, else 1; length n-2."""
-    iv = series.intervals()
+    iv = series.interval
     if iv.size < 3:
         raise ValueError(f"need at least 3 records, got {iv.size}")
     a, b, c = iv[:-2], iv[1:-1], iv[2:]

@@ -169,6 +169,39 @@ class TestAnalyzeCommand:
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["persons"]) == 1 and doc["cohorts"][0]["count"] == 1
 
+    def test_same_person_id_in_two_files_is_input_error(self, tmp_path, capsys):
+        first = synth_file(tmp_path, n=300, seed=1)
+        (tmp_path / "copy").mkdir()
+        second = synth_file(tmp_path / "copy", n=300, seed=2)
+        assert main(["analyze", str(first), str(second),
+                     "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "'F_42_221500'" in err and str(first) in err and str(second) in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_failed_report_write_leaves_no_partial_file(self, tmp_path, capsys,
+                                                         monkeypatch):
+        path = synth_file(tmp_path)
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # A lone surrogate cannot be encoded: the write fails after the
+        # first buffers of the long prefix have gone to disk.
+        monkeypatch.setattr("svrand.cli.render_json",
+                            lambda *args: "x" * 100_000 + "\ud800")
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_weighted_epsilon_of_saturated_profile(self, tmp_path, capsys):
+        # Every per-history epsilon is 1/2; the weighted dot product rounds
+        # to 0.5000000000000001 unless held to the range of its terms.
+        fixture = Path(__file__).parent / "data" / "F_42_221500.txt"
+        out = tmp_path / "rep"
+        assert main(["analyze", str(fixture), "--discretizer", "rapid", "--eta2", "0.05",
+                     "--h", "3", "--out", str(out), "--format", "json"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["persons"][0]["eps_weighted"] == 0.5
+
     def test_json_embeds_config_and_matches_csv(self, tmp_path, capsys):
         path = synth_file(tmp_path)
         out = tmp_path / "rep"

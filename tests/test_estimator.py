@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
@@ -63,6 +64,20 @@ class TestEpsilonH:
                 assert got is None
             else:
                 assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 40, 700, 20_000])
+    def test_equals_division_over_occurring_histories(self, n):
+        # Bit for bit the plain form: divide only where the history occurs.
+        rng = np.random.default_rng(n)
+        counts = count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 12)
+        for h in range(1, 12):
+            for exact in (False, True):
+                num = counts.level(h + 1).reshape(-1, 2)
+                den = num.sum(axis=1) if exact else counts.level(h)
+                seen = den > 0
+                expected = (float(np.max(np.abs(num[seen] / den[seen, None] - 0.5)))
+                            if seen.any() else None)
+                assert epsilon_h(counts, h, exact=exact) == expected
 
     def test_undefined_when_no_history_occurs(self):
         counts = count_substrings_fast(BitSequence("01"), 4)
@@ -168,6 +183,15 @@ class TestWeightedEpsilon:
         zero = EpsilonProfile(epsilons=(0.0,) * 3, max_h=2, n=8, mode="linear")
         assert weighted_epsilon(half) == pytest.approx(0.5, abs=1e-15)
         assert weighted_epsilon(zero) == 0.0
+
+    @pytest.mark.parametrize("max_h", range(30))
+    def test_constant_profiles_exact(self, max_h):
+        # Exact: rounding in the weighted sum must not leave [min, max] of the
+        # terms, which for 1/2 would exceed the valid range.
+        for level in (0.0, 0.1, 0.25, 0.5):
+            profile = EpsilonProfile(epsilons=(level,) * (max_h + 1), max_h=max_h,
+                                     n=2 ** (max_h + 1), mode="linear")
+            assert weighted_epsilon(profile) == level
 
     def test_worked_value(self):
         profile = EpsilonProfile(epsilons=(0.0, 0.25, 0.5), max_h=2, n=8, mode="linear")

@@ -131,7 +131,7 @@ class TestExtractNocturnal:
         slow = [1.0] * int(7 * hours / 1.0)
         series = make_series(fast + slow)
         window = extract_nocturnal(series, duration=6 * hours)
-        assert (window.intervals() == 1.0).all()
+        assert (window.interval == 1.0).all()
         assert window.elapsed()[-1] <= 6 * hours
         assert len(window) > 21000
 

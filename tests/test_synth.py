@@ -43,7 +43,7 @@ def rr_spec(**kw):
 class TestSyntheticRR:
     def test_flat_spec_gives_constant_series(self):
         series = synthetic_rr(rr_spec(amplitude=0.0, noise=0.0))
-        assert np.allclose(series.intervals(), 0.9)
+        assert np.allclose(series.interval, 0.9)
         assert str(discretize_accel(series)) == "0" * 199
 
     def test_noiseless_bits_are_periodic(self):
