@@ -284,7 +284,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        spec = SourceSpec(kind="synthetic_rr", n=args.n, seed=args.seed,
+        spec = SourceSpec(n=args.n, seed=args.seed,
                           baseline=args.baseline, amplitude=args.amplitude,
                           period=args.period, noise=args.noise)
     except ValueError as exc:

@@ -10,7 +10,6 @@ building small series by hand and for reading rows back.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import statistics
@@ -50,9 +49,8 @@ _SECONDS_PER_DAY = 86400.0
 _MS_PER_DAY = 86_400_000
 _DEFAULT_HEADER = "index\ttime\tinterval\tannotation"
 
-# Files are read and written in pieces of this many characters or rows,
-# which bounds the temporaries of the column-wise conversion.
-_CHUNK_CHARS = 1 << 19
+# Files are written in pieces of this many rows, which bounds the
+# temporaries of the column-wise formatting.
 _CHUNK_ROWS = 1 << 14
 
 # The fixed clock layout HH:MM:SS.mmm: where its digits sit, what each digit
@@ -63,10 +61,12 @@ _CLOCK_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1000,
                           100, 10, 1])
 _CLOCK_RADIX = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
 
-# Decimal fields of up to 19 characters fit an unsigned 64-bit mantissa.
-_MAX_DECIMAL_WIDTH = 19
-_POW10 = 10 ** np.arange(_MAX_DECIMAL_WIDTH, dtype=np.uint64)
-_POW10_FLOAT = _POW10.astype(np.float64)   # exact: 10**k = 2**k * 5**k, 5**18 < 2**53
+# One row of the table path.  The clock field holds one byte more than the
+# layout, and no annotation may fill its field, so that a cut shows.
+_ROW = np.dtype([("index", np.int64), ("time", "S13"), ("interval", np.float64),
+                 ("annotation", "S16")])
+# The characters np.loadtxt splits as str.splitlines and str.split do.
+_PLAIN = bytes(range(32, 127)) + b"\t\n"
 
 
 class HolterFormatError(Exception):
@@ -213,7 +213,7 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 1 (index): out of the 64-bit range: {raw_index!r}")
     try:
         time = _parse_clock(raw_time)
-    except ValueError:
+    except (ValueError, OverflowError):   # OverflowError: an infinite clock
         raise ValueError(f"column 2 (time): not a clock time: {raw_time!r}") from None
     try:
         interval = float(raw_interval)
@@ -227,136 +227,70 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 3 (interval): {exc}") from None
 
 
-def _gather(b: np.ndarray, start: np.ndarray, end: np.ndarray, width: int,
-            pad: int, right: bool = False) -> np.ndarray:
-    """One row of `width` bytes per field b[start:end], filled with `pad`.
-
-    Fields are left-aligned, or right-aligned (leading padding) with right.
-    """
-    cols = np.arange(width)
-    pos = (end[:, None] - width + cols) if right else (start[:, None] + cols)
-    inside = (pos >= start[:, None]) & (pos < end[:, None])
-    return np.where(inside, np.take(b, pos, mode="clip"), np.uint8(pad))
-
-
-def _decimals(b: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Fields of digits with at most one point, or None if any field is not.
-
-    Returns each field's mantissa (its digits as one integer), the number
-    of digits after the point, and whether it has a point.
-    """
-    width = int((end - start).max())
-    if width > _MAX_DECIMAL_WIDTH:
-        return None
-    cells = _gather(b, start, end, width, ord("0"), right=True)
-    point = cells == ord(".")
-    digits = np.where(point, 0, cells - ord("0"))
-    if np.any(digits > 9) or np.any(point.sum(axis=1) > 1):
-        return None
-    has_point = point.any(axis=1)
-    point_col = np.where(has_point, point.argmax(axis=1), -1)
-    cols = np.arange(width)
-    place = width - 1 - cols - (cols < point_col[:, None])
-    mantissa = (digits.astype(np.uint64) * _POW10[place]).sum(axis=1)
-    return mantissa, np.where(has_point, width - 1 - point_col, 0), has_point
-
-
-def _parse_bulk(text: str) -> RRSeries | None:
-    """The rows of whole lines of text, converted column-wise with numpy.
+def _parse_table(stream, header: str) -> RRSeries | None:
+    """The rows of the rest of a seekable text stream, read as one table.
 
     Returns None unless the result provably equals what `_parse_row` makes
     of each non-blank line: the text is printable ASCII with tab and
-    newline, every non-blank line has exactly four fields, the index is
-    digits within the 64-bit range, the clock is HH:MM:SS.mmm, and the
-    interval is positive and written as digits with at most one point.
+    newline, where `np.loadtxt` breaks lines and fields as `str.splitlines`
+    and `str.split` do; every line has four fields that `loadtxt` converts
+    as `int()` and `float()` would; the clock is HH:MM:SS.mmm; the interval
+    is positive and finite; and no field was cut to its width.
     """
-    if not text.isascii():
+    start = stream.tell()
+    while piece := stream.read(1 << 16):
+        if not piece.isascii() or piece.encode("ascii").translate(None, _PLAIN):
+            return None
+    stream.seek(start)
+    try:
+        with warnings.catch_warnings():
+            # An empty table warns.  Older numpy reads "1e3" or "1.0" as an
+            # integer after a DeprecationWarning; int() rejects both.
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(stream, dtype=_ROW, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
-    # Newlines around the text make every field start after and end before a byte.
-    b = np.frombuffer(("\n" + text + "\n").encode("ascii"), dtype=np.uint8)
-    if not np.all(((b >= 32) & (b < 127)) | (b == 9) | (b == 10)):
-        return None
-    word = b > 32
-    starts = np.flatnonzero(word[1:] > word[:-1]) + 1
-    ends = np.flatnonzero(word[:-1] > word[1:]) + 1
-    if starts.size % 4:
-        return None
-    if starts.size == 0:
-        return RRSeries(())
-    starts = starts.reshape(-1, 4).T
-    ends = ends.reshape(-1, 4).T
-    # Four fields per line: no newline within a row, one between rows.
-    newlines = np.flatnonzero(b == 10)
-    first = np.searchsorted(newlines, starts[0])
-    last = np.searchsorted(newlines, ends[3])
-    if np.any(first != last) or np.any(first[1:] == last[:-1]):
-        return None
-    widths = ends - starts
-
-    # Index: what int() makes of digits, within the 64-bit range.
-    decoded = _decimals(b, starts[0], ends[0])
-    if decoded is None or decoded[2].any() or np.any(decoded[0] >= 2**63):
-        return None
-    index = decoded[0].astype(np.int64)
 
     # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
-    # is exact digit arithmetic on this layout.
-    if np.any(widths[1] != 12):
+    # is exact digit arithmetic on this layout.  A NUL in the last byte
+    # shows the field was not cut.
+    clock = rows["time"].view((np.uint8, 13))
+    digits = clock[:, _CLOCK_DIGITS] - np.uint8(ord("0"))
+    if (np.any(clock[:, 12]) or np.any(digits > 9)
+            or np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8))):
         return None
-    cells = _gather(b, starts[1], ends[1], 12, 0)
-    digits = cells[:, _CLOCK_DIGITS] - ord("0")
-    if np.any(digits > 9) or np.any(cells[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8)):
-        return None
-    time = (digits.astype(np.int64) @ _CLOCK_PLACES) / 1000.0
+    ms = np.zeros(rows.size, dtype=np.int64)
+    for column, place in enumerate(_CLOCK_PLACES):
+        ms += digits[:, column] * place
 
-    # Interval: for a mantissa M <= 2**53, M / 10**k is one correctly
-    # rounded division, which is exactly what float() returns; larger
-    # mantissas go through float().
-    decoded = _decimals(b, starts[2], ends[2])
-    if decoded is None:
+    interval = rows["interval"].copy()
+    if not np.all((interval > 0) & (interval < np.inf)):
         return None
-    mantissa, decimals, _ = decoded
-    interval = mantissa / _POW10_FLOAT[decimals]
-    for row in np.flatnonzero(mantissa > 2**53).tolist():
-        interval[row] = float(b[starts[2, row]:ends[2, row]].tobytes())
-    if not np.all(interval > 0):
+    width = int(np.char.str_len(rows["annotation"]).max(initial=1))
+    if width >= _ROW["annotation"].itemsize:
         return None
-
-    width = int(widths[3].max())
-    annotation = _gather(b, starts[3], ends[3], width, 0).astype(np.uint32)
-    return RRSeries._from_columns(index, time, interval,
-                                  annotation.view(f"U{width}")[:, 0],
-                                  np.zeros(index.size, dtype=bool))
+    return RRSeries._from_columns(rows["index"].copy(), ms / 1000.0, interval,
+                                  rows["annotation"].astype(f"U{width}"),
+                                  np.zeros(rows.size, dtype=bool), header=header)
 
 
-def _parse_rows(lines: list[str], first_lineno: int, problems: list[str]) -> RRSeries:
-    """The rows of lines parsed one by one; each failure is added to problems."""
+def _parse_rows(lines: list[str], header: str, name: str) -> RRSeries:
+    """Lines parsed one by one, numbered from 2; all failures raised together."""
     records = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    problems = []
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
             records.append(_parse_row(line))
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
-    return RRSeries(records)
-
-
-def _chunks(stream, size: int):
-    """The stream's text in pieces of about `size` characters.
-
-    Each piece but the last ends with a newline, so that splitting every
-    piece into lines gives the lines of the whole text.
-    """
-    tail = ""
-    while piece := stream.read(size):
-        piece = tail + piece
-        cut = piece.rfind("\n") + 1
-        tail = piece[cut:]
-        if cut:
-            yield piece[:cut]
-    if tail:
-        yield tail
+    if problems:
+        shown = "; ".join(problems[:5])
+        extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
+        raise HolterFormatError(f"{name}: {shown}{extra}")
+    return RRSeries(records, header)
 
 
 def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMeta:
@@ -382,40 +316,27 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
     """Read one annotated RR file.
 
-    Accepts a path or an open text stream.  All malformed rows are collected
-    and reported together, each with its line number.  The text is read in
-    chunks; a chunk is converted column-wise when that provably gives the
-    row parser's result, and row by row otherwise.
+    Accepts a path or a seekable text stream, read from its current
+    position.  The rows are read as one table with `np.loadtxt` when that
+    provably gives the row parser's result.  Otherwise the whole text is
+    read again and parsed line by line, and all malformed rows are reported
+    together, each with its line number.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             return parse_holter(fh, meta_pattern)
     name = getattr(source, "name", "<stream>")
-    chunks = _chunks(source, _CHUNK_CHARS)
-    first = next(chunks, "")
-    if not first:
+    start = source.tell()
+    head = source.readline()
+    if not head:
         raise HolterFormatError(f"{name}: empty file")
-    head = first.splitlines(keepends=True)[0]
-    header = head.splitlines()[0]
-    parts = []
-    problems: list[str] = []
-    lineno = 2
-    for text in itertools.chain([first[len(head):]], chunks):
-        part = _parse_bulk(text)
-        if part is not None:
-            lineno += text.count("\n")
-        else:
-            lines = text.splitlines()
-            part = _parse_rows(lines, lineno, problems)
-            lineno += len(lines)
-        parts.append(part)
-    if problems:
-        shown = "; ".join(problems[:5])
-        extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise HolterFormatError(f"{name}: {shown}{extra}")
-    series = RRSeries._from_columns(
-        *(np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS),
-        header=header)
+    # The header is the first line as str.splitlines sees it.
+    lines = head.splitlines()
+    series = _parse_table(source, lines[0]) if len(lines) == 1 else None
+    if series is None:
+        source.seek(start)
+        lines = source.read().splitlines()
+        series = _parse_rows(lines[1:], lines[0], name)
     if not len(series):
         raise HolterFormatError(f"{name}: no records")
     return parse_meta(name, meta_pattern), series

@@ -112,7 +112,7 @@ def test_07_trend_cut_direction():
     start = time.perf_counter()
     wins = 0
     for seed in range(50):
-        spec = SourceSpec(kind="synthetic_rr", n=4096, seed=seed)
+        spec = SourceSpec(n=4096, seed=seed)
         bits = discretize_accel(synthetic_rr(spec))
         full = weighted_epsilon(epsilon_profile(bits))
         cut = weighted_epsilon(epsilon_profile(cut_trends(bits, TrendCutPattern(3, 3))))

@@ -33,7 +33,7 @@ class TestSynthCommand:
         path = synth_file(tmp_path, n=300, seed=5)
         meta, series = parse_holter(path)
         assert meta.sex == "F" and meta.age == 42
-        assert series == synthetic_rr(SourceSpec(kind="synthetic_rr", n=300, seed=5))
+        assert series == synthetic_rr(SourceSpec(n=300, seed=5))
 
     def test_seed_determinism(self, tmp_path, capsys):
         a = synth_file(tmp_path, name="F_42_221500.txt", n=200, seed=9)
@@ -289,6 +289,14 @@ class TestExitCodes:
         bad = tmp_path / "F_20_000000.txt"
         bad.write_text("header\n1 00:00:01 not-a-number N\n")
         assert main(["analyze", str(bad), "--out", str(tmp_path / "rep")]) == 2
+
+    @pytest.mark.parametrize("clock", ["inf", "00:00:1e400"])
+    def test_infinite_clock_is_input_error(self, tmp_path, capsys, clock):
+        bad = tmp_path / "F_20_000000.txt"
+        bad.write_text(f"header\n1 {clock} 0.8 N\n")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        assert (f"line 2: column 2 (time): not a clock time: {clock!r}"
+                in capsys.readouterr().err)
 
     def test_internal_error_is_exit_3(self, tmp_path, capsys, monkeypatch):
         path = synth_file(tmp_path)

@@ -114,9 +114,8 @@ def outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def bulk_parse(text: str, chunk_chars: int):
-    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        return outcome(lambda: parse_holter(io.StringIO(text))[1])
+def holter_parse(text: str):
+    return outcome(lambda: parse_holter(io.StringIO(text))[1])
 
 
 # -- generated files ---------------------------------------------------------
@@ -135,7 +134,6 @@ indices = st.one_of(st.integers(0, 10**6).map(str), st.from_regex(r"[0-9]{1,18}"
                                                                   fullmatch=True))
 rows = st.lists(st.tuples(indices, clocks, intervals, annotations), min_size=1,
                 max_size=40)
-chunk_sizes = st.sampled_from([1, 16, 64, 1 << 19])
 
 
 @st.composite
@@ -166,9 +164,13 @@ def corrupt(line: str, how: int, draw) -> str:
                                           "nan", "inf", "1_000"]))
     elif how == 4:  # an index the fast path does not take
         fields[0] = draw(st.sampled_from(["-3", "+4", "1e3", "x", "9" * 19, "9" * 30]))
-    elif how == 5:  # a line break or space that splitlines or split sees differently
-        return line + draw(st.sampled_from(["\r", "\x0c", "\x1c", "\x85", " ",
-                                            "\xa0", "\x00"]))
+    elif how == 5:  # a line break or space that splitlines or split sees differently,
+        # between two fields or at the end of the line
+        where = draw(st.integers(1, 4))
+        return (" ".join(fields[:where])
+                + draw(st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                        "\x85", "\u2028", "\x00", " ", "\xa0"]))
+                + " ".join(fields[where:]))
     elif how == 6:  # a field outside ASCII
         fields[3] = "Ä"
     else:           # two rows on one line
@@ -191,11 +193,12 @@ def corrupted_files(draw):
 
 class TestBulkParse:
     @SETTINGS
-    @given(text=valid_files(), chunk_chars=chunk_sizes)
-    def test_equals_row_parser_on_valid_files(self, text, chunk_chars):
-        body = text.split("\n", 1)[1]
-        assert ingest._parse_bulk(body) is not None  # the fast path decides
-        series = bulk_parse(text, chunk_chars)
+    @given(text=valid_files())
+    def test_equals_row_parser_on_valid_files(self, text):
+        header, body = text.split("\n", 1)
+        # the table path decides
+        assert ingest._parse_table(io.StringIO(body), header) is not None
+        series = holter_parse(text)
         expected = row_parse(text)
         assert series.header == expected.header
         for column in ("index", "time", "interval", "annotation", "edited"):
@@ -203,19 +206,19 @@ class TestBulkParse:
         assert series.records == expected.records
 
     @SETTINGS
-    @given(text=corrupted_files(), chunk_chars=chunk_sizes)
-    def test_same_outcome_on_corrupted_files(self, text, chunk_chars):
-        assert bulk_parse(text, chunk_chars) == outcome(lambda: row_parse(text))
+    @given(text=corrupted_files())
+    def test_same_outcome_on_corrupted_files(self, text):
+        assert holter_parse(text) == outcome(lambda: row_parse(text))
 
     @SETTINGS
-    @given(text=st.text(max_size=120), chunk_chars=chunk_sizes)
-    def test_same_outcome_on_any_text(self, text, chunk_chars):
-        assert bulk_parse(text, chunk_chars) == outcome(lambda: row_parse(text))
+    @given(text=st.text(max_size=120))
+    def test_same_outcome_on_any_text(self, text):
+        assert holter_parse(text) == outcome(lambda: row_parse(text))
 
     def test_many_errors_listed_as_by_rows(self):
         text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 -1 N\n" for k in range(9))
-        assert bulk_parse(text, 16) == outcome(lambda: row_parse(text))
-        assert "(+4 more)" in bulk_parse(text, 16)[1]
+        assert holter_parse(text) == outcome(lambda: row_parse(text))
+        assert "(+4 more)" in holter_parse(text)[1]
 
     @pytest.mark.parametrize("row", [
         "9" * 18 + " 00:00:00.001 1 N",
@@ -228,10 +231,17 @@ class TestBulkParse:
         "1 00:00:00.000 0.10000000000000000555 N",    # 22 characters
         "1 00:00:00.000 000000000000000000.5 N",
         "1 00:00:00.000 0.000 N",
+        "1 inf 0.8 N",                                # raw seconds, not finite
+        "1 00:00:1e400 0.8 N",
+        "1 00:00:00.0009 1 N",                        # 13 characters
+        "1 00:00:00.000 1 ABCDEFGHIJKLMNOP",          # 16 characters fill the field
+        "1 00:00:00.000 1 ABCDEFGHIJKLMNOPQ",         # 17 characters
+        "1 00:00:00.000 1 N\x00X",
+        "1 00:00:00.000\x0b0.8 N",                     # a line break between fields
     ])
     def test_field_limits(self, row):
         text = f"hdr\n{row}\n"
-        assert bulk_parse(text, 1 << 19) == outcome(lambda: row_parse(text))
+        assert holter_parse(text) == outcome(lambda: row_parse(text))
 
     def test_clock_seconds_are_exact_milliseconds(self):
         # The digit arithmetic for SS.mmm equals _parse_clock's rounding of
@@ -265,7 +275,7 @@ class TestWrite:
         assert text == record_write(series)
         if rs:
             again = io.StringIO()
-            write_holter(bulk_parse(text, 1 << 19), again)
+            write_holter(holter_parse(text), again)
             assert again.getvalue() == text
 
 
@@ -305,6 +315,12 @@ class TestAgainstLoops:
         edited, expected = edit_perturbations(series), edit_loop(series)
         assert edited == expected
         assert edited.records == expected.records
+
+    @SETTINGS
+    @given(series=recordings())
+    def test_edit_is_idempotent(self, series):
+        once = edit_perturbations(series)
+        assert edit_perturbations(once) == once
 
     @pytest.mark.filterwarnings("ignore:nocturnal window holds")
     def test_backward_clock_is_rejected(self):

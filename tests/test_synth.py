@@ -34,7 +34,7 @@ class TestBiasedCoin:
 
 
 def rr_spec(**kw):
-    base = dict(kind="synthetic_rr", n=200, seed=0, baseline=0.9,
+    base = dict(n=200, seed=0, baseline=0.9,
                 amplitude=0.05, period=20.0, noise=0.01)
     base.update(kw)
     return SourceSpec(**base)
@@ -72,7 +72,3 @@ class TestSyntheticRR:
             rr_spec(baseline=0.05)  # baseline must exceed amplitude + noise
         with pytest.raises(ValueError):
             rr_spec(period=0.0)
-        with pytest.raises(ValueError):
-            SourceSpec(kind="dice", n=10, seed=0)
-        with pytest.raises(ValueError):
-            synthetic_rr(SourceSpec(kind="biased_coin", n=10, seed=0))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svrand.bitseq import BitSequence
 from svrand.transform import (TrendCutPattern, cut_trends, discretize_accel,
@@ -158,3 +160,15 @@ class TestCutTrends:
             assert is_subsequence(str(out), text)
             removed = n - len(out)
             assert removed == cycles * (i + j) + (i if dangling else 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 8)), max_size=40),
+           accel=st.integers(1, 6), decel=st.integers(1, 6))
+    def test_accounting_property(self, runs, accel, decel):
+        text = "".join(bit * length for bit, length in runs)
+        out = str(cut_trends(BitSequence(text), TrendCutPattern(accel, decel)))
+        assert is_subsequence(out, text)
+        # k windows of 1s and m windows of 0s deleted, alternating from a 1-window
+        _, m, dangling = reference_cut(text, accel, decel)
+        k = m + dangling
+        assert len(text) - len(out) == accel * k + decel * m
