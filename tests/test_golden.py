@@ -1,0 +1,45 @@
+"""Reports of the fixture recording, byte for byte against checked-in copies.
+
+Each variant runs `svrand` from `tests/data` on the relative input name, so
+the configuration embedded in the reports does not depend on where the
+repository lives.  The expected files sit in `tests/data/golden/<variant>/`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from svrand.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+FIXTURE = "F_42_221500.txt"
+
+VARIANTS = {
+    "default": ["analyze", FIXTURE],
+    "cyclic": ["analyze", FIXTURE, "--cyclic"],
+    "mode_cut": ["analyze", FIXTURE, "--mode", "cut"],
+    "h13_forced": ["analyze", FIXTURE, "--h", "13", "--force-h"],
+    "h_loglog": ["analyze", FIXTURE, "--h", "loglog"],
+    "rapid_eta2": ["analyze", FIXTURE, "--discretizer", "rapid", "--eta2", "0.05",
+                   "--h", "3"],
+    "mono": ["analyze", FIXTURE, "--discretizer", "mono"],
+    "merge_cut44": ["merge", FIXTURE, "--cut", "4,4"],
+}
+REPORTS = ("persons.csv", "cohorts.csv", "report.json")
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_reports_match_golden(variant, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert main(VARIANTS[variant] + ["--out", str(tmp_path)]) == 0
+    for name in REPORTS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / variant / name).read_bytes(), name
+
+
+def test_stats_matches_golden(tmp_path, monkeypatch, capsys):
+    # Re-aggregates the default variant's persons table.
+    monkeypatch.chdir(DATA)
+    assert main(["stats", "golden/default/persons.csv", "--out", str(tmp_path)]) == 0
+    for name in ("cohorts.csv", "cohorts.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "stats" / name).read_bytes(), name
