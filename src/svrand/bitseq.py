@@ -21,7 +21,7 @@ __all__ = [
 # comfortably in memory.
 MAX_TABLE_ENTRIES = 1 << 27
 
-# Default ceiling on generated De Bruijn sequence length (in bits).
+# Ceiling on generated De Bruijn sequence length (in bits).
 DEBRUIJN_BUDGET_BITS = 1 << 26
 
 _VALID_BITS = frozenset("01")
@@ -227,7 +227,7 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     return CountTable(max_len, mode, n, counted[::-1] + zeros)
 
 
-def debruijn(order: int, *, max_bits: int = DEBRUIJN_BUDGET_BITS) -> BitSequence:
+def debruijn(order: int) -> BitSequence:
     """Lexicographically least binary De Bruijn sequence of the given order.
 
     The result has length 2**order and, read cyclically, contains every
@@ -236,9 +236,9 @@ def debruijn(order: int, *, max_bits: int = DEBRUIJN_BUDGET_BITS) -> BitSequence
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if (1 << order) > max_bits:
-        raise ValueError(
-            f"order {order} yields {1 << order} bits, over the budget of {max_bits}")
+    if (1 << order) > DEBRUIJN_BUDGET_BITS:
+        raise ValueError(f"order {order} yields {1 << order} bits, "
+                         f"over the budget of {DEBRUIJN_BUDGET_BITS}")
     out: list[str] = []
     word = [0] * (order + 1)
 

@@ -16,12 +16,12 @@ import re
 import sys
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from svrand.bitseq import BitSequence, debruijn
 from svrand.cohort import CohortStats, PersonResult, bucket, merge_persons, trim_to_min
-from svrand.estimator import epsilon_profile, loglog_history, max_history, weighted_epsilon
+from svrand.estimator import epsilon_profile, loglog_history, weighted_epsilon
 from svrand.ingest import (DEFAULT_META_PATTERN, HolterFormatError, PersonMeta,
                            edit_perturbations, extract_nocturnal, filter_normal,
                            parse_holter, write_holter)
@@ -45,7 +45,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved analysis settings; embedded verbatim in every report."""
+    """Fully resolved analysis settings; all but out_dir are embedded in every report."""
 
     inputs: tuple[str, ...]
     out_dir: str = "."
@@ -53,27 +53,17 @@ class RunConfig:
     eta1: float = 0.0
     eta2: float | None = None
     cut: tuple[int, int] | None = None
-    cyclic: bool = False
-    h_policy: str = "auto"  # "auto", "loglog", or a decimal history length
+    counting: str = "linear"  # or "cyclic"
+    h: str = "auto"  # "auto", "loglog", or a decimal history length
     force_h: bool = False
     mode: str = "full"
-    out_format: str = "both"
+    format: str = "both"
     meta_pattern: str = DEFAULT_META_PATTERN
 
     def resolved(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "discretizer": self.discretizer,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "cut": list(self.cut) if self.cut else None,
-            "counting": "cyclic" if self.cyclic else "linear",
-            "h": self.h_policy,
-            "force_h": self.force_h,
-            "mode": self.mode,
-            "format": self.out_format,
-            "meta_pattern": self.meta_pattern,
-        }
+        settings = asdict(self)
+        del settings["out_dir"]
+        return settings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,19 +118,17 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig,
     n = len(bits)
     if n < 2:
         raise ValueError(f"{meta.id}: only {n} bits left after pre-processing")
-    if config.h_policy == "auto":
+    if config.h == "auto":
         requested = None
-    elif config.h_policy == "loglog":
+    elif config.h == "loglog":
         requested = loglog_history(n)
     else:
-        requested = int(config.h_policy)
-    profile = epsilon_profile(bits, requested,
-                              mode="cyclic" if config.cyclic else "linear",
+        requested = int(config.h)
+    profile = epsilon_profile(bits, requested, mode=config.counting,
                               force_h=config.force_h)
     weighted = None
     try:
-        weighted = weighted_epsilon(
-            profile, allow_custom_h=profile.max_h != max_history(n))
+        weighted = weighted_epsilon(profile)
     except ValueError as exc:
         warnings.warn(f"{meta.id}: weighted epsilon unavailable: {exc}")
     return PersonResult(meta=meta, n_bits=n, profile=profile,
@@ -243,15 +231,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if cut is not None and mode not in ("cut", "merged"):
         raise UsageError(f"--cut does not combine with --mode {mode}")
 
-    h_policy = args.h
-    if h_policy not in ("auto", "loglog"):
+    if args.h not in ("auto", "loglog"):
         try:
-            if int(h_policy) < 0:
+            if int(args.h) < 0:
                 raise ValueError
         except ValueError:
             raise UsageError(
                 f"--h must be auto, loglog, or a non-negative integer, "
-                f"got {h_policy!r}") from None
+                f"got {args.h!r}") from None
 
     try:
         re.compile(args.meta_pattern)
@@ -265,11 +252,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         eta1=args.eta1 if args.eta1 is not None else 0.0,
         eta2=args.eta2,
         cut=cut,
-        cyclic=args.cyclic,
-        h_policy=h_policy,
+        counting="cyclic" if args.cyclic else "linear",
+        h=args.h,
         force_h=args.force_h,
         mode=mode,
-        out_format=args.format,
+        format=args.format,
         meta_pattern=args.meta_pattern,
     )
 
@@ -277,7 +264,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     results, stats, unknown = run_analysis(config)
-    _write_reports(config.out_dir, config.out_format, config.resolved(), stats, unknown,
+    _write_reports(config.out_dir, config.format, config.resolved(), stats, unknown,
                    results)
     return EXIT_OK
 

@@ -58,8 +58,6 @@ class EpsilonProfile:
     max_h: int
     n: int
     mode: str
-    estimator: str = "ratio"
-    requested_h: int | None = None
     clamped: bool = False
     forced: bool = False
 
@@ -75,7 +73,7 @@ class EpsilonProfile:
                 f"{max_history(self.n)} for n={self.n} without forced=True")
 
 
-def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | None:
+def epsilon_h(counts: CountTable, h: int) -> float | None:
     """Worst next-bit deviation from 1/2 after histories of length h.
 
     Uses raw occurrence counts: the ratio for pattern w = history + bit is
@@ -83,9 +81,6 @@ def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | Non
     denominator.  Histories that never occur contribute no evidence and are
     skipped; if none occurs the result is undefined (None).  A pattern with
     zero count under an occurring history yields the maximal deviation 1/2.
-
-    With exact=True, occurrences of the history at the very end of the
-    sequence (which have no successor bit) are excluded from denominators.
     """
     if h < 0:
         raise ValueError(f"history length must be >= 0, got {h}")
@@ -98,10 +93,7 @@ def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | Non
         if n == 0:
             return None
         return float(np.max(np.abs(num / n - 0.5)))
-    if exact:
-        den = num.reshape(-1, 2).sum(axis=1)
-    else:
-        den = counts.level(h)
+    den = counts.level(h)
     occurring = den > 0
     if not occurring.any():
         return None
@@ -115,7 +107,7 @@ def epsilon_h(counts: CountTable, h: int, *, exact: bool = False) -> float | Non
 
 
 def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linear",
-                    *, force_h: bool = False, exact: bool = False) -> EpsilonProfile:
+                    *, force_h: bool = False) -> EpsilonProfile:
     """Estimate epsilons for all history lengths 0..H from one shared count table.
 
     H defaults to max_history(len(s)).  Larger requests are clamped back to
@@ -144,11 +136,9 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
             f"requested history length {max_h} exceeds floor(log2 n) - 1 = {bound} "
             f"for n={n}; clamped to {bound}")
     counts = count_substrings_fast(s, use_h + 1, mode)
-    eps = tuple(epsilon_h(counts, h, exact=exact) for h in range(use_h + 1))
-    return EpsilonProfile(
-        epsilons=eps, max_h=use_h, n=n, mode=mode,
-        estimator="exact" if exact else "ratio",
-        requested_h=max_h, clamped=clamped, forced=forced)
+    eps = tuple(epsilon_h(counts, h) for h in range(use_h + 1))
+    return EpsilonProfile(epsilons=eps, max_h=use_h, n=n, mode=mode,
+                          clamped=clamped, forced=forced)
 
 
 def history_weights(max_h: int) -> np.ndarray:
@@ -159,22 +149,14 @@ def history_weights(max_h: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def weighted_epsilon(profile: EpsilonProfile, *, allow_custom_h: bool = False) -> float:
-    """Single harmonic-weighted epsilon for a complete profile.
+def weighted_epsilon(profile: EpsilonProfile) -> float:
+    """Single harmonic-weighted epsilon over the profile's own range 0..max_h.
 
-    The profile must cover exactly the admissible range 0..max_history(n)
-    and contain no undefined entries; callers deliberately aggregating over
-    a different range opt in with allow_custom_h (the choice is visible in
-    the profile metadata they carry).
+    Every entry must be defined.
     """
     undefined = [h for h, e in enumerate(profile.epsilons) if e is None]
     if undefined:
         raise ValueError(f"profile has undefined epsilons at history lengths {undefined}")
-    if not allow_custom_h and profile.max_h != max_history(profile.n):
-        raise ValueError(
-            f"profile max_h={profile.max_h} differs from the admissible bound "
-            f"{max_history(profile.n)} for n={profile.n}; pass allow_custom_h=True "
-            f"to aggregate anyway")
     weights = history_weights(profile.max_h)
     eps = np.asarray(profile.epsilons, dtype=float)
     # A convex combination; rounding in the dot product must not carry it

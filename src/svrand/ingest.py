@@ -94,6 +94,9 @@ class RRRecord:
             raise ValueError("RR interval must be finite, got inf")
         if not self.annotation:
             raise ValueError("annotation must be non-empty")
+        if "\x00" in self.annotation:
+            # A numpy str column would drop a trailing NUL.
+            raise ValueError("annotation must not contain NUL")
 
 
 _COLUMNS = ("index", "time", "interval", "annotation", "edited")
@@ -201,6 +204,8 @@ def _format_clocks(time: np.ndarray) -> list[str]:
 
 
 def _parse_row(line: str) -> RRRecord:
+    if "\x00" in line:
+        raise ValueError("NUL byte in the row")
     fields = line.split()
     if len(fields) != 4:
         raise ValueError(f"expected 4 columns, got {len(fields)}")
@@ -234,8 +239,8 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     of each non-blank line: the text is printable ASCII with tab and
     newline, where `np.loadtxt` breaks lines and fields as `str.splitlines`
     and `str.split` do; every line has four fields that `loadtxt` converts
-    as `int()` and `float()` would; the clock is HH:MM:SS.mmm; the interval
-    is positive and finite; and no field was cut to its width.
+    as `int()` and `float()` would; every clock converts; the interval is
+    positive and finite; and no field was cut to its width.
     """
     start = stream.tell()
     while piece := stream.read(1 << 16):
@@ -253,16 +258,24 @@ def _parse_table(stream, header: str) -> RRSeries | None:
         return None
 
     # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
-    # is exact digit arithmetic on this layout.  A NUL in the last byte
-    # shows the field was not cut.
+    # is exact digit arithmetic on the HH:MM:SS.mmm layout; other clocks,
+    # such as raw seconds, go through _parse_clock one by one.  A NUL in the
+    # last byte shows the field was not cut.
     clock = rows["time"].view((np.uint8, 13))
-    digits = clock[:, _CLOCK_DIGITS] - np.uint8(ord("0"))
-    if (np.any(clock[:, 12]) or np.any(digits > 9)
-            or np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8))):
+    if np.any(clock[:, 12]):
         return None
+    digits = clock[:, _CLOCK_DIGITS] - np.uint8(ord("0"))
     ms = np.zeros(rows.size, dtype=np.int64)
     for column, place in enumerate(_CLOCK_PLACES):
         ms += digits[:, column] * place
+    time = ms / 1000.0
+    other = np.flatnonzero(
+        np.any(digits > 9, axis=1)
+        | np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8), axis=1))
+    try:
+        time[other] = [_parse_clock(cell.decode()) for cell in rows["time"][other]]
+    except (ValueError, OverflowError):
+        return None
 
     interval = rows["interval"].copy()
     if not np.all((interval > 0) & (interval < np.inf)):
@@ -270,7 +283,7 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     width = int(np.char.str_len(rows["annotation"]).max(initial=1))
     if width >= _ROW["annotation"].itemsize:
         return None
-    return RRSeries._from_columns(rows["index"].copy(), ms / 1000.0, interval,
+    return RRSeries._from_columns(rows["index"].copy(), time, interval,
                                   rows["annotation"].astype(f"U{width}"),
                                   np.zeros(rows.size, dtype=bool), header=header)
 

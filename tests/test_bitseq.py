@@ -148,4 +148,4 @@ class TestDebruijn:
         with pytest.raises(ValueError):
             debruijn(0)
         with pytest.raises(ValueError):
-            debruijn(30, max_bits=1 << 20)
+            debruijn(30)

@@ -285,6 +285,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "rep")]) == 2
         assert "L=9 for n=7" in capsys.readouterr().err
 
+    def test_too_few_bits_is_input_error(self, tmp_path, capsys):
+        # Two beats give one acceleration bit; the estimator needs two.
+        path = tmp_path / "F_20_000000.txt"
+        path.write_text("header\n1 00:00:00.800 0.8 N\n2 00:00:01.700 0.9 N\n")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert "only 1 bits left after pre-processing" in capsys.readouterr().err
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "F_20_000000.txt"
         bad.write_text("header\n1 00:00:01 not-a-number N\n")

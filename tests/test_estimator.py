@@ -71,23 +71,22 @@ class TestEpsilonH:
         rng = np.random.default_rng(n)
         counts = count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 12)
         for h in range(1, 12):
-            for exact in (False, True):
-                num = counts.level(h + 1).reshape(-1, 2)
-                den = num.sum(axis=1) if exact else counts.level(h)
-                seen = den > 0
-                expected = (float(np.max(np.abs(num[seen] / den[seen, None] - 0.5)))
-                            if seen.any() else None)
-                assert epsilon_h(counts, h, exact=exact) == expected
+            num = counts.level(h + 1).reshape(-1, 2)
+            den = counts.level(h)
+            seen = den > 0
+            expected = (float(np.max(np.abs(num[seen] / den[seen, None] - 0.5)))
+                        if seen.any() else None)
+            assert epsilon_h(counts, h) == expected
 
     def test_undefined_when_no_history_occurs(self):
         counts = count_substrings_fast(BitSequence("01"), 4)
         assert epsilon_h(counts, 3) is None
 
-    def test_exact_mode_excludes_tail_history(self):
-        # "00110" ends with "0": that occurrence has no successor bit.
+    def test_tail_history_counts_in_denominator(self):
+        # "00110" ends with "0": that occurrence has no successor bit, yet it
+        # counts, so history "0" gives 1/3 and 1/3 rather than 1/2 and 1/2.
         counts = count_substrings_fast(BitSequence("00110"), 2)
         assert epsilon_h(counts, 1) == pytest.approx(1 / 6)
-        assert epsilon_h(counts, 1, exact=True) == 0.0
 
     def test_requires_deep_enough_table(self):
         counts = count_substrings_fast(BitSequence("0101"), 2)
@@ -134,7 +133,6 @@ class TestEpsilonProfile:
             profile = epsilon_profile(s, max_h=40)
         assert profile.max_h == 8
         assert profile.clamped and not profile.forced
-        assert profile.requested_h == 40
 
     def test_forced_override_is_recorded(self):
         profile = epsilon_profile(BitSequence("0101"), max_h=3, force_h=True)
@@ -166,9 +164,8 @@ class TestEpsilonProfile:
     def test_entries_stay_in_range(self, seed):
         rng = random.Random(seed)
         s = BitSequence("".join(rng.choice("011") for _ in range(500)))
-        for exact in (False, True):
-            profile = epsilon_profile(s, exact=exact)
-            assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
+        profile = epsilon_profile(s)
+        assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
 
     def test_profile_validates_range_and_bound(self):
         with pytest.raises(ValueError):
@@ -207,8 +204,8 @@ class TestWeightedEpsilon:
         with pytest.raises(ValueError, match="undefined"):
             weighted_epsilon(profile)
 
-    def test_rejects_custom_h_without_opt_in(self):
+    def test_aggregates_over_profile_range(self):
+        # max_h = 0 is below the bound max_history(8) = 2; the profile's own
+        # range is what gets weighted.
         profile = EpsilonProfile(epsilons=(0.1,), max_h=0, n=8, mode="linear")
-        with pytest.raises(ValueError, match="allow_custom_h"):
-            weighted_epsilon(profile)
-        assert weighted_epsilon(profile, allow_custom_h=True) == pytest.approx(0.1)
+        assert weighted_epsilon(profile) == 0.1

@@ -1,11 +1,13 @@
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from svrand.ingest import (HolterFormatError, RRRecord, RRSeries, edit_perturbations,
-                           extract_nocturnal, filter_normal, parse_holter, write_holter)
+from svrand.ingest import (NOCTURNAL_MIN_RECORDS, HolterFormatError, RRRecord, RRSeries,
+                           edit_perturbations, extract_nocturnal, filter_normal,
+                           parse_holter, write_holter)
 
 
 def serialized(series):
@@ -82,6 +84,14 @@ class TestParseHolter:
         _, series = parse_holter(path)
         assert series.records[0].time == 3600.25
 
+    def test_nul_byte_rejected_with_line(self):
+        with pytest.raises(HolterFormatError, match=r"line 2: NUL byte in the row"):
+            parse_holter(io.StringIO("header\n1 00:00:00.000 1 N\x00\n"))
+
+    def test_record_rejects_nul_in_annotation(self):
+        with pytest.raises(ValueError, match="NUL"):
+            RRRecord(1, 0.0, 1.0, "N\x00")
+
     @pytest.mark.filterwarnings("ignore:file name")
     def test_round_trip_fixed_point(self, tmp_path):
         path = tmp_path / "F_63_221500.txt"
@@ -138,6 +148,16 @@ class TestExtractNocturnal:
     def test_exact_span_returns_whole_series(self, make_series):
         series = make_series([1.0] * 61)  # spans exactly 60 s
         assert extract_nocturnal(series, duration=60.0) == series
+
+    def test_thin_window_warns(self, make_series):
+        # A window of n records spans n - 1 seconds here.
+        enough = make_series([1.0] * NOCTURNAL_MIN_RECORDS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            extract_nocturnal(enough, duration=NOCTURNAL_MIN_RECORDS - 1.0)
+        thin = make_series([1.0] * (NOCTURNAL_MIN_RECORDS - 1))
+        with pytest.warns(UserWarning, match="fewer than the recommended"):
+            extract_nocturnal(thin, duration=NOCTURNAL_MIN_RECORDS - 2.0)
 
     def test_too_short_rejected(self, make_series):
         with pytest.raises(ValueError, match="shorter"):

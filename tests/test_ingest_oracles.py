@@ -124,8 +124,14 @@ separators = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
 blank = st.sampled_from(["", " ", "\t", "  \t"])
 annotations = st.text(alphabet=string.ascii_letters + string.punctuation,
                       min_size=1, max_size=3)
-clocks = st.builds("{:02d}:{:02d}:{:02d}.{:03d}".format, st.integers(0, 99),
-                   st.integers(0, 99), st.integers(0, 99), st.integers(0, 999))
+clocks = st.one_of(
+    st.builds("{:02d}:{:02d}:{:02d}.{:03d}".format, st.integers(0, 99),
+              st.integers(0, 99), st.integers(0, 99), st.integers(0, 999)),
+    # Off the HH:MM:SS.mmm layout: raw seconds and short fields, at most 12
+    # characters.
+    st.from_regex(r"[0-9]{1,7}(\.[0-9]{0,3})?|\.[0-9]{1,3}", fullmatch=True),
+    st.builds("{}:{}:{}".format, st.integers(0, 99), st.integers(0, 99),
+              st.integers(0, 99)))
 intervals = st.one_of(
     st.floats(min_value=0.1, max_value=1e3).map(repr),   # at most 19 characters
     st.from_regex(r"[0-9]{1,6}\.[0-9]{0,12}|\.[0-9]{1,12}|[0-9]{1,19}", fullmatch=True)
@@ -156,7 +162,7 @@ def corrupt(line: str, how: int, draw) -> str:
         del fields[draw(st.integers(0, 3))]
     elif how == 1:  # a field added
         fields.insert(draw(st.integers(0, 4)), "7")
-    elif how == 2:  # a clock the fast path does not take, valid or not
+    elif how == 2:  # a clock off the HH:MM:SS.mmm layout, valid or not
         fields[1] = draw(st.sampled_from(["12:3:04.5", "12:34", "ab:cd:ef.ghi", "3600.25",
                                           "1:2:3:4", "00:00:00,500", "nan", "inf"]))
     elif how == 3:  # a non-positive or malformed interval
@@ -214,6 +220,14 @@ class TestBulkParse:
     @given(text=st.text(max_size=120))
     def test_same_outcome_on_any_text(self, text):
         assert holter_parse(text) == outcome(lambda: row_parse(text))
+
+    def test_raw_seconds_clock_stays_on_table_path(self):
+        body = "".join(f"{k} 00:00:0{k}.000 0.8 N\n" for k in range(1, 5))
+        body += "5 3600.5 0.8 N\n"
+        table = ingest._parse_table(io.StringIO(body), "hdr")
+        assert table is not None
+        assert table == row_parse("hdr\n" + body)
+        assert table.time[-1] == 3600.5
 
     def test_many_errors_listed_as_by_rows(self):
         text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 -1 N\n" for k in range(9))
