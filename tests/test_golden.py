@@ -14,6 +14,7 @@ from svrand.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 FIXTURE = "F_42_221500.txt"
+SHORT = "M_30_000000.txt"  # the fixture's first 8 beats
 
 VARIANTS = {
     "default": ["analyze", FIXTURE],
@@ -25,6 +26,12 @@ VARIANTS = {
                    "--h", "3"],
     "mono": ["analyze", FIXTURE, "--discretizer", "mono"],
     "merge_cut44": ["merge", FIXTURE, "--cut", "4,4"],
+    # Persons with different H: the shorter row is padded with empty cells.
+    "two_persons": ["analyze", FIXTURE, SHORT],
+    # Undefined epsilons and an unavailable weighted epsilon.
+    "two_persons_h12_forced": ["analyze", FIXTURE, SHORT, "--h", "12", "--force-h"],
+    # Unknown sex and age: empty cells, no cohort rows.
+    "meta_unknown": ["analyze", FIXTURE, "--meta-pattern", "X(?P<sex>[FM])"],
 }
 REPORTS = ("persons.csv", "cohorts.csv", "report.json")
 
