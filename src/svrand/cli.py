@@ -131,12 +131,11 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig,
         weighted = weighted_epsilon(profile)
     except ValueError as exc:
         warnings.warn(f"{meta.id}: weighted epsilon unavailable: {exc}")
-    return PersonResult(meta=meta, n_bits=n, profile=profile,
-                        weighted=weighted, mode_tag=tag)
+    return PersonResult(meta=meta, profile=profile, weighted=weighted, mode_tag=tag)
 
 
 def run_analysis(config: RunConfig
-                 ) -> tuple[list[PersonResult], list[CohortStats], list[PersonResult]]:
+                 ) -> tuple[list[PersonResult], list[CohortStats], list[PersonMeta]]:
     """Execute the pipeline: parse, pre-process, discretize, cut, estimate, group."""
     paths = _expand_inputs(config.inputs)
     people: list[tuple[PersonMeta, BitSequence]] = []
@@ -160,7 +159,7 @@ def run_analysis(config: RunConfig
         people = [(PersonMeta(id=f"merged({len(paths)})"), merged)]
 
     results = [_estimate(meta, bits, config, tag) for meta, bits in people]
-    stats, unknown = bucket(results)
+    stats, unknown = bucket([(r.meta, r.weighted) for r in results])
     return results, stats, unknown
 
 
@@ -291,20 +290,15 @@ def cmd_debruijn(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = read_persons_csv(Path(args.persons_csv).read_text(encoding="utf-8"))
+    rows = read_persons_csv(Path(args.persons_csv).read_text(encoding="utf-8"),
+                            required=("person_id", "sex", "age", "eps_weighted"))
     if not rows:
         raise HolterFormatError(f"{args.persons_csv}: no person rows")
-    results = []
-    for row in rows:
-        meta = PersonMeta(id=row["person_id"], sex=row["sex"] or None,
-                          age=int(row["age"]) if row["age"] else None)
-        results.append(PersonResult(
-            meta=meta,
-            n_bits=int(row["n_bits"]),
-            profile=None,
-            weighted=float(row["eps_weighted"]) if row["eps_weighted"] else None,
-            mode_tag=row["mode"]))
-    stats, unknown = bucket(results)
+    people = [(PersonMeta(id=row["person_id"], sex=row["sex"] or None,
+                          age=int(row["age"]) if row["age"] else None),
+               float(row["eps_weighted"]) if row["eps_weighted"] else None)
+              for row in rows]
+    stats, unknown = bucket(people)
     _write_reports(args.out, args.format, {"inputs": [args.persons_csv], "mode": "stats"},
                    stats, unknown)
     return EXIT_OK

@@ -24,11 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PersonResult:
-    """Weighted-epsilon outcome for one person under one experiment mode."""
+    """Epsilon profile and weighted epsilon of one person under one experiment mode."""
 
     meta: PersonMeta
-    n_bits: int
-    profile: EpsilonProfile | None
+    profile: EpsilonProfile
     weighted: float | None
     mode_tag: str
 
@@ -71,25 +70,25 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float, float, floa
     return float(q0), float(q1), float(q2), float(q3), float(q4), float(np.mean(v))
 
 
-def bucket(results: Sequence[PersonResult]
-           ) -> tuple[list[CohortStats], list[PersonResult]]:
+def bucket(people: Sequence[tuple[PersonMeta, float | None]]
+           ) -> tuple[list[CohortStats], list[PersonMeta]]:
     """Cohort summaries per non-empty (sex, decade), plus the left-over persons.
 
-    Persons with unknown sex or age, or without a weighted epsilon, cannot be
-    bucketed and are returned separately.
+    Each person is a (meta, weighted epsilon) pair.  Persons with unknown sex
+    or age, or without a weighted epsilon, cannot be bucketed; their metas are
+    returned separately.  A weighted epsilon outside [0, 1/2] is a ValueError.
     """
     groups: dict[tuple[str, int], list[float]] = {}
     leftover = []
-    for r in results:
-        if r.meta.sex in ("F", "M") and r.meta.age is not None and r.weighted is not None:
-            groups.setdefault((r.meta.sex, 10 * (r.meta.age // 10)), []).append(r.weighted)
+    for meta, weighted in people:
+        if weighted is not None and not 0.0 <= weighted <= 0.5:
+            raise ValueError(f"{meta.id}: weighted epsilon outside [0, 1/2]: {weighted}")
+        if meta.sex in ("F", "M") and meta.age is not None and weighted is not None:
+            groups.setdefault((meta.sex, 10 * (meta.age // 10)), []).append(weighted)
         else:
-            leftover.append(r)
-    stats = []
-    for (sex, decade), vals in sorted(groups.items()):
-        q0, q1, q2, q3, q4, mean = quartiles(vals)
-        stats.append(CohortStats(sex=sex, decade=decade, count=len(vals),
-                                 q0=q0, q1=q1, q2=q2, q3=q3, q4=q4, mean=mean))
+            leftover.append(meta)
+    stats = [CohortStats(sex, decade, len(vals), *quartiles(vals))
+             for (sex, decade), vals in sorted(groups.items())]
     return stats, leftover
 
 

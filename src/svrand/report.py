@@ -1,8 +1,9 @@
 """CSV and JSON report rendering.
 
-Both formats carry the same numbers at 6 significant digits, and both embed
-the resolved run configuration: the JSON as a "config" object, the CSVs as
-leading comment lines.
+Each person and each cohort is one row of named fields; the CSVs and the JSON
+are both written from it, floats at 6 significant digits.  Both embed the
+resolved run configuration: the JSON as a "config" object, the CSVs as a
+leading comment line.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from svrand.cohort import CohortStats, PersonResult
+from svrand.ingest import PersonMeta
 
 __all__ = [
     "fmt6",
@@ -22,98 +25,97 @@ __all__ = [
     "read_persons_csv",
 ]
 
-PERSON_FIELDS = ["person_id", "sex", "age", "mode", "n_bits", "H"]
-COHORT_FIELDS = ["sex", "decade", "count", "q0", "q1", "q2", "q3", "q4", "mean"]
+COHORT_FIELDS = [f.name for f in fields(CohortStats)]
 
 
 def fmt6(x: float | None) -> str:
     """Render a value at 6 significant digits; None becomes the empty cell."""
-    if x is None:
-        return ""
-    return format(x, ".6g")
+    return "" if x is None else format(x, ".6g")
 
 
-def _num6(x: float | None) -> float | None:
-    return None if x is None else float(fmt6(x))
+def _cell(v):
+    """A CSV cell: floats at 6 significant digits, None empty."""
+    return fmt6(v) if v is None or isinstance(v, float) else v
 
 
-def _config_comments(config: dict) -> str:
-    return "# config " + json.dumps(config, sort_keys=True) + "\n"
+def _value(v):
+    """A JSON value: floats at 6 significant digits, also inside lists."""
+    if isinstance(v, list):
+        return [_value(x) for x in v]
+    return float(fmt6(v)) if isinstance(v, float) else v
+
+
+def _person(r: PersonResult) -> dict:
+    """One person's report fields, in CSV column order."""
+    p = r.profile
+    return {"person_id": r.meta.id, "sex": r.meta.sex, "age": r.meta.age,
+            "mode": r.mode_tag, "n_bits": p.n, "H": p.max_h,
+            "epsilons": list(p.epsilons), "eps_weighted": r.weighted,
+            "h_clamped": bool(p.clamped), "h_forced": bool(p.forced)}
+
+
+def _table(config: dict, header: Sequence[str], rows) -> str:
+    """The config comment, the header, then one line of cells per row."""
+    buf = io.StringIO()
+    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _csv_columns(person: dict, width: int) -> dict:
+    """A person's CSV cells by column: the epsilon list padded with None over
+    eps_0..eps_{width-1}; the bool flags are JSON-only."""
+    columns = {}
+    for name, value in person.items():
+        if isinstance(value, list):
+            columns.update((f"eps_{h}", e) for h, e in
+                           enumerate(value + [None] * (width - len(value))))
+        elif not isinstance(value, bool):
+            columns[name] = value
+    return columns
 
 
 def render_persons_csv(results: Sequence[PersonResult], config: dict) -> str:
     """Per-person table: identity, mode, size, and the epsilon columns."""
-    max_h = max((r.profile.max_h for r in results if r.profile is not None),
-                default=-1)
-    header = PERSON_FIELDS + [f"eps_{h}" for h in range(max_h + 1)] + ["eps_weighted"]
-    buf = io.StringIO()
-    buf.write(_config_comments(config))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for r in results:
-        eps = list(r.profile.epsilons) if r.profile is not None else []
-        eps += [None] * (max_h + 1 - len(eps))
-        writer.writerow([
-            r.meta.id,
-            r.meta.sex or "",
-            "" if r.meta.age is None else r.meta.age,
-            r.mode_tag,
-            r.n_bits,
-            "" if r.profile is None else r.profile.max_h,
-            *[fmt6(e) for e in eps],
-            fmt6(r.weighted),
-        ])
-    return buf.getvalue()
+    width = max((r.profile.max_h + 1 for r in results), default=0)
+    rows = [_csv_columns(_person(r), width) for r in results]
+    return _table(config, list(rows[0]) if rows else [], [row.values() for row in rows])
 
 
 def render_cohorts_csv(stats: Sequence[CohortStats], config: dict) -> str:
-    buf = io.StringIO()
-    buf.write(_config_comments(config))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COHORT_FIELDS)
-    for c in stats:
-        writer.writerow([c.sex, c.decade, c.count,
-                         *[fmt6(v) for v in (c.q0, c.q1, c.q2, c.q3, c.q4, c.mean)]])
-    return buf.getvalue()
+    return _table(config, COHORT_FIELDS, [asdict(c).values() for c in stats])
 
 
 def render_json(results: Sequence[PersonResult], stats: Sequence[CohortStats],
-                unknown: Sequence[PersonResult], config: dict) -> str:
+                unknown: Sequence[PersonMeta], config: dict) -> str:
     doc = {
         "config": config,
-        "persons": [
-            {
-                "person_id": r.meta.id,
-                "sex": r.meta.sex,
-                "age": r.meta.age,
-                "mode": r.mode_tag,
-                "n_bits": r.n_bits,
-                "H": None if r.profile is None else r.profile.max_h,
-                "epsilons": None if r.profile is None
-                            else [_num6(e) for e in r.profile.epsilons],
-                "eps_weighted": _num6(r.weighted),
-                "h_clamped": bool(r.profile.clamped) if r.profile is not None else False,
-                "h_forced": bool(r.profile.forced) if r.profile is not None else False,
-            }
-            for r in results
-        ],
-        "cohorts": [
-            {
-                "sex": c.sex,
-                "decade": c.decade,
-                "count": c.count,
-                "q0": _num6(c.q0), "q1": _num6(c.q1), "q2": _num6(c.q2),
-                "q3": _num6(c.q3), "q4": _num6(c.q4),
-                "mean": _num6(c.mean),
-            }
-            for c in stats
-        ],
-        "unknown_metadata": [r.meta.id for r in unknown],
+        "persons": [{k: _value(v) for k, v in _person(r).items()} for r in results],
+        "cohorts": [{k: _value(v) for k, v in asdict(c).items()} for c in stats],
+        "unknown_metadata": [m.id for m in unknown],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def read_persons_csv(text: str) -> list[dict]:
-    """Rows of a persons CSV as dicts, skipping the embedded config comments."""
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+def read_persons_csv(text: str, required: Sequence[str] = ()) -> list[dict]:
+    """Rows of a persons CSV as dicts, after the leading config comment lines.
+
+    A header without one of the required columns, or a row whose number of
+    cells differs from the header's, is a ValueError.
+    """
+    lines = list(io.StringIO(text, newline=""))  # a quoted cell may hold a line break
+    skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    reader = csv.reader(lines[skip:])
+    header = next(reader, [])
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ValueError(f"persons table lacks the column(s) {', '.join(missing)}")
+    rows = []
+    for cells in filter(None, reader):  # blank lines hold no row
+        if len(cells) != len(header):
+            raise ValueError(f"persons table line {skip + reader.line_num}: "
+                             f"{len(cells)} cells, the header has {len(header)}")
+        rows.append(dict(zip(header, cells)))
+    return rows

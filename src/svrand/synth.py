@@ -32,6 +32,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if not np.isfinite([self.baseline, self.amplitude, self.period, self.noise]).all():
+            raise ValueError("baseline, amplitude, period and noise must be finite")
         if self.amplitude < 0 or self.noise < 0:
             raise ValueError("amplitude and noise must be >= 0")
         if self.baseline <= self.amplitude + self.noise:

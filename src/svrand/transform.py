@@ -36,6 +36,8 @@ def discretize_accel(series: RRSeries, eta1: float = 0.0) -> BitSequence:
     One bit per record from the second onward; the first record has no
     predecessor and produces no bit.
     """
+    if not np.isfinite(eta1):
+        raise ValueError(f"offset must be finite, got {eta1}")
     iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")
@@ -44,8 +46,8 @@ def discretize_accel(series: RRSeries, eta1: float = 0.0) -> BitSequence:
 
 def discretize_rapid(series: RRSeries, eta2: float) -> BitSequence:
     """0 where the interval changes by at least eta2 in either direction, else 1."""
-    if eta2 < 0:
-        raise ValueError(f"threshold must be >= 0, got {eta2}")
+    if not 0 <= eta2 < np.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {eta2}")
     iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")

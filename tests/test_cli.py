@@ -45,6 +45,12 @@ class TestSynthCommand:
         assert code == 1
         assert "baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--noise", "--period"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, option):
+        assert main(["synth", str(tmp_path / "x.txt"), option, "nan"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestAnalyzeCommand:
     def test_eps_matches_library(self, tmp_path, capsys):
@@ -233,6 +239,45 @@ class TestMergeCommand:
 
 
 class TestStatsCommand:
+    def test_counts_person_id_starting_with_hash(self, tmp_path, capsys):
+        fixture = Path(__file__).parent / "data" / "F_42_221500.txt"
+        for name in ("#F_42_221500.txt", "M_51_221500.txt"):
+            shutil.copy(fixture, tmp_path / name)
+        rep, out = tmp_path / "rep", tmp_path / "stats"
+        assert main(["analyze", str(tmp_path / "#F_42_221500.txt"),
+                     str(tmp_path / "M_51_221500.txt"), "--out", str(rep)]) == 0
+        assert main(["stats", str(rep / "persons.csv"), "--out", str(out)]) == 0
+        rows = (out / "cohorts.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:3] for row in rows] == [["F", "40", "1"], ["M", "50", "1"]]
+
+    @pytest.mark.parametrize("table,message", [
+        ("person_id,sex,eps_weighted\nF_42_221500,F,0.2\n",
+         "lacks the column(s) age"),
+        ("# config {}\nperson_id,sex,age,eps_weighted\nF_42_221500,F,42,0.2\nM_51_221500,M\n",
+         "line 4: 2 cells, the header has 4"),
+    ], ids=["missing_column", "short_row"])
+    def test_malformed_table_is_input_error(self, tmp_path, capsys, table, message):
+        path = tmp_path / "persons.csv"
+        path.write_text(table)
+        assert main(["stats", str(path), "--out", str(tmp_path / "stats")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "stats").exists()
+
+    def test_weighted_epsilon_out_of_range_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "persons.csv"
+        path.write_text("person_id,sex,age,mode,n_bits,H,eps_weighted\n"
+                        "F_42_221500,F,42,full,100,1,0.7\n")
+        assert main(["stats", str(path), "--out", str(tmp_path / "stats")]) == 2
+        assert "weighted epsilon outside [0, 1/2]: 0.7" in capsys.readouterr().err
+
+    def test_reads_only_identity_and_weighted_epsilon(self, tmp_path, capsys):
+        path = tmp_path / "persons.csv"
+        path.write_text("eps_weighted,age,sex,person_id\n0.2,42,F,a\n0.3,,F,b\n")
+        assert main(["stats", str(path), "--out", str(tmp_path / "stats")]) == 0
+        doc = json.loads((tmp_path / "stats" / "cohorts.json").read_text())
+        assert [(c["sex"], c["decade"], c["q2"]) for c in doc["cohorts"]] == [("F", 40, 0.2)]
+        assert doc["unknown_metadata"] == ["b"]
+
     def test_reaggregates_persons_csv(self, tmp_path, capsys):
         for name, seed in [("F_25_010000.txt", 1), ("F_27_010000.txt", 2)]:
             synth_file(tmp_path, name=name, n=900, seed=seed)
@@ -291,6 +336,14 @@ class TestExitCodes:
         path.write_text("header\n1 00:00:00.800 0.8 N\n2 00:00:01.700 0.9 N\n")
         assert main(["analyze", str(path), "--out", str(tmp_path / "rep")]) == 2
         assert "only 1 bits left after pre-processing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [["--eta1", "nan"], ["--eta1", "inf"],
+                                         ["--discretizer", "rapid", "--eta2", "nan"]])
+    def test_non_finite_threshold_is_input_error(self, tmp_path, capsys, options):
+        path = synth_file(tmp_path)
+        assert main(["analyze", str(path), *options, "--out", str(tmp_path / "rep")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "F_20_000000.txt"

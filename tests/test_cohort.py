@@ -10,9 +10,9 @@ from svrand.ingest import PersonMeta
 from svrand.synth import biased_coin
 
 
-def person(pid, sex, age, weighted, tag="full"):
-    return PersonResult(meta=PersonMeta(id=pid, sex=sex, age=age), n_bits=100,
-                        profile=None, weighted=weighted, mode_tag=tag)
+def person(pid, sex, age, weighted):
+    """The (meta, weighted epsilon) pair that bucket takes."""
+    return PersonMeta(id=pid, sex=sex, age=age), weighted
 
 
 class TestQuartiles:
@@ -64,7 +64,7 @@ class TestBucket:
                    person("c", "M", None, 0.2), person("d", "M", 50, None)]
         stats, leftover = bucket(results)
         assert sum(c.count for c in stats) == 1
-        assert {r.meta.id for r in leftover} == {"b", "c", "d"}
+        assert [m.id for m in leftover] == ["b", "c", "d"]
 
     def test_counts_sum_to_known_persons(self):
         rng = random.Random(2)
@@ -112,8 +112,15 @@ class TestMergePersons:
 
 class TestValidation:
     def test_person_result_range(self):
+        profile = epsilon_profile(biased_coin(100, 0.0, seed=1))
         with pytest.raises(ValueError):
-            person("a", "F", 30, 0.75)
+            PersonResult(meta=PersonMeta(id="a"), profile=profile, weighted=0.75,
+                         mode_tag="full")
+
+    @pytest.mark.parametrize("weighted", [-0.1, 0.75, float("nan")])
+    def test_bucket_rejects_weighted_out_of_range(self, weighted):
+        with pytest.raises(ValueError, match="^b: weighted epsilon outside"):
+            bucket([person("a", "F", 30, 0.2), person("b", None, None, weighted)])
 
     def test_cohort_stats_order(self):
         with pytest.raises(ValueError):

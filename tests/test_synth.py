@@ -72,3 +72,7 @@ class TestSyntheticRR:
             rr_spec(baseline=0.05)  # baseline must exceed amplitude + noise
         with pytest.raises(ValueError):
             rr_spec(period=0.0)
+        for field in ("baseline", "amplitude", "period", "noise"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match="must be finite"):
+                    rr_spec(**{field: value})

@@ -33,6 +33,11 @@ class TestDiscretizeAccel:
         with pytest.raises(ValueError):
             discretize_accel(make_series([0.8]))
 
+    @pytest.mark.parametrize("eta1", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_offset(self, make_series, eta1):
+        with pytest.raises(ValueError, match="must be finite"):
+            discretize_accel(make_series([0.8, 0.9]), eta1=eta1)
+
 
 class TestDiscretizeRapid:
     def test_worked_example(self, make_series):
@@ -50,6 +55,11 @@ class TestDiscretizeRapid:
     def test_rejects_negative_threshold(self, make_series):
         with pytest.raises(ValueError):
             discretize_rapid(make_series([0.8, 0.9]), eta2=-0.1)
+
+    @pytest.mark.parametrize("eta2", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold(self, make_series, eta2):
+        with pytest.raises(ValueError, match="must be finite"):
+            discretize_rapid(make_series([0.8, 0.9]), eta2=eta2)
 
     def test_too_short(self, make_series):
         with pytest.raises(ValueError):
