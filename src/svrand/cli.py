@@ -290,8 +290,7 @@ def cmd_debruijn(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = read_persons_csv(Path(args.persons_csv).read_text(encoding="utf-8"),
-                            required=("person_id", "sex", "age", "eps_weighted"))
+    rows = read_persons_csv(Path(args.persons_csv).read_text(encoding="utf-8"))
     if not rows:
         raise HolterFormatError(f"{args.persons_csv}: no person rows")
     people = [(PersonMeta(id=row["person_id"], sex=row["sex"] or None,

@@ -94,9 +94,7 @@ def bucket(people: Sequence[tuple[PersonMeta, float | None]]
 
 def trim_to_min(sequences: Sequence[BitSequence]) -> list[BitSequence]:
     """Truncate every sequence to the shortest length in the set."""
-    if not sequences:
-        return []
-    shortest = min(len(s) for s in sequences)
+    shortest = min((len(s) for s in sequences), default=0)
     return [s[:shortest] for s in sequences]
 
 

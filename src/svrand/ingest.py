@@ -309,6 +309,8 @@ def _parse_rows(lines: list[str], header: str, name: str) -> RRSeries:
 def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMeta:
     """Decode sex/age/start time from a file name; unknown fields stay None."""
     stem = Path(name).stem
+    if "\r" in stem:  # the CSV writer would leave it unquoted, splitting the row
+        raise HolterFormatError(f"{name!r}: a carriage return cannot be in a person id")
     match = re.search(meta_pattern, stem)
     if match is None:
         warnings.warn(f"file name {name!r} does not match the metadata pattern; "

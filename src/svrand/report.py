@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 COHORT_FIELDS = [f.name for f in fields(CohortStats)]
+STATS_COLUMNS = ("person_id", "sex", "age", "eps_weighted")  # what `stats` reads
 
 
 def fmt6(x: float | None) -> str:
@@ -58,21 +59,20 @@ def _table(config: dict, header: Sequence[str], rows) -> str:
     """The config comment, the header, then one line of cells per row."""
     buf = io.StringIO()
     buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_cell(v) for v in row] for row in [header, *rows])
     return buf.getvalue()
 
 
 def _csv_columns(person: dict, width: int) -> dict:
-    """A person's CSV cells by column: the epsilon list padded with None over
-    eps_0..eps_{width-1}; the bool flags are JSON-only."""
+    """A person's CSV cells by column: the epsilons padded with None over
+    eps_0..eps_{width-1}; the h flags are JSON-only."""
     columns = {}
     for name, value in person.items():
-        if isinstance(value, list):
+        if name == "epsilons":
             columns.update((f"eps_{h}", e) for h, e in
                            enumerate(value + [None] * (width - len(value))))
-        elif not isinstance(value, bool):
+        elif name not in ("h_clamped", "h_forced"):
             columns[name] = value
     return columns
 
@@ -99,17 +99,15 @@ def render_json(results: Sequence[PersonResult], stats: Sequence[CohortStats],
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def read_persons_csv(text: str, required: Sequence[str] = ()) -> list[dict]:
-    """Rows of a persons CSV as dicts, after the leading config comment lines.
-
-    A header without one of the required columns, or a row whose number of
-    cells differs from the header's, is a ValueError.
-    """
+def read_persons_csv(text: str) -> list[dict]:
+    """Rows of a persons CSV as dicts, after the leading config comment lines;
+    a header without one of the STATS_COLUMNS, or a row whose number of cells
+    differs from the header's, is a ValueError."""
     lines = list(io.StringIO(text, newline=""))  # a quoted cell may hold a line break
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     reader = csv.reader(lines[skip:])
     header = next(reader, [])
-    missing = [name for name in required if name not in header]
+    missing = [name for name in STATS_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"persons table lacks the column(s) {', '.join(missing)}")
     rows = []

@@ -218,6 +218,13 @@ class TestAnalyzeCommand:
         (row,) = read_persons_csv((out / "persons.csv").read_text())
         assert fmt6(doc["persons"][0]["eps_weighted"]) == row["eps_weighted"]
 
+    def test_carriage_return_in_file_name_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "F_42\r_221500.txt"
+        shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert "a carriage return cannot be in a person id" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestMergeCommand:
     def test_single_merged_result(self, tmp_path, capsys):

@@ -15,8 +15,8 @@ from svrand.report import fmt6, read_persons_csv, render_json, render_persons_cs
 CONFIG = {"inputs": ["x"], "mode": "full"}
 
 # File stems may hold CSV specials, a leading '#' and line breaks.  Left out:
-# NUL, which no file name holds, and a carriage return, which the CSV writer
-# does not quote.
+# NUL, which no file name holds, and a carriage return, which `parse_meta`
+# rejects because the CSV writer does not quote it.
 ids = st.one_of(
     st.sampled_from(["#a", "a,b", 'say "hi"', "#", ",", '"', "#x,\"y\"", "a\nb",
                      "a\n#b", "a\u2028b", "a\x85b"]),
@@ -78,3 +78,4 @@ def test_json_values_are_six_digits():
     assert doc["epsilons"] == [0.123457, None]
     assert doc["eps_weighted"] == 0.333333
     assert (doc["n_bits"], doc["H"], doc["h_clamped"], doc["h_forced"]) == (8, 1, False, False)
+
