@@ -24,6 +24,10 @@ MAX_TABLE_ENTRIES = 1 << 27
 # Ceiling on generated De Bruijn sequence length (in bits).
 DEBRUIJN_BUDGET_BITS = 1 << 26
 
+# Window positions count_substrings_fast counts at a time: a block's uint32
+# values and their temporaries take a few hundred KiB whatever n is.
+_BLOCK = 1 << 16
+
 _VALID_BITS = frozenset("01")
 
 
@@ -187,16 +191,44 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
     return CountTable(max_len, mode, n, levels)
 
 
+def _window_values(bits: np.ndarray, length: int) -> np.ndarray:
+    """uint32 value of every length-`length` window of `bits`, first bit most significant.
+
+    A window of length 2w is two windows of length w, w apart, so lengths
+    1, 2, 4, ... cost one shift/or pass each; the requested length is then
+    joined from the power-of-two windows its binary form names.
+    """
+    windows = bits.size - length + 1
+    # _check_max_len keeps lengths below 32 bits.
+    pow_win = bits.astype(np.uint32)  # windows of length `width`
+    vals = np.zeros(windows, dtype=np.uint32)
+    width, covered = 1, 0
+    while True:
+        if length & width:
+            vals <<= width
+            vals |= pow_win[covered:covered + windows]
+            covered += width
+        if 2 * width > length:
+            return vals
+        doubled = pow_win[:-width] << width
+        doubled |= pow_win[width:]
+        pow_win = doubled
+        width *= 2
+
+
 def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
     """Production counter; output equals count_substrings(s, max_len, mode).
 
-    One pass builds the integer value of every length-L window (L = max_len,
-    or n when a linear sequence is shorter) in place and tallies them with a
-    single bincount.  Shorter lengths follow by marginalising away the last
+    The length-L windows (L = max_len, or n when a linear sequence is
+    shorter) are counted in blocks of _BLOCK positions, so no array of all n
+    window values is ever built.  A block's values come from power-of-two
+    windows in uint32 (see _window_values): about log2 L shift/or passes
+    instead of L - 1.  np.add.at adds each block into the one int64 table of
+    length-L counts.  Shorter lengths follow by marginalising away the last
     bit, level[h] = level[h + 1] summed over pattern pairs, which misses only
     the window starting at n - h: in linear mode that window, the last h bits,
-    is added back.  Cyclic mode runs the same pass over the sequence with its
-    first L - 1 bits appended, so no window is missed; it needs L <= n.
+    is added back.  Cyclic mode counts the sequence with its first L - 1 bits
+    appended, so no window is missed; it needs L <= n.
     """
     if mode not in ("linear", "cyclic"):
         raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
@@ -211,13 +243,13 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     top = min(max_len, n)
     counted: list[np.ndarray] = []  # levels top, top - 1, ..., 1
     if top:
+        table = np.zeros(1 << top, dtype=np.int64)
         windows = bits.size - top + 1
-        vals = bits[:windows].astype(np.int64)
-        for j in range(1, top):
-            vals <<= 1
-            vals |= bits[j:j + windows]
+        for start in range(0, windows, _BLOCK):
+            vals = _window_values(bits[start:min(start + _BLOCK, windows) + top - 1], top)
+            np.add.at(table, vals, 1)
         last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
-        counted.append(np.bincount(vals, minlength=1 << top))
+        counted.append(table)
         for h in range(top - 1, 0, -1):
             level = counted[-1].reshape(-1, 2).sum(axis=1)
             if mode == "linear":

@@ -62,12 +62,30 @@ class CohortStats:
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """(q0..q4, mean) with min/median/max exact and q1/q3 linearly interpolated."""
+    """(q0..q4, mean) with min/median/max exact and q1/q3 linearly interpolated.
+
+    For finite values the quartiles equal np.percentile(values, [0, 25, 50,
+    75, 100], method="linear") bit for bit: the same positions (n - 1) q,
+    with numpy's neighbours at the last position (both -1), the same
+    partition, so that 0.0 and -0.0 land where numpy puts them, and numpy's
+    interpolation, which works from the upper neighbour when the fraction is
+    1/2 or more.  np.percentile and np.unique would import numpy.ma.
+    """
     if len(values) == 0:
         raise ValueError("no values")
-    v = np.asarray(values, dtype=float)
-    q0, q1, q2, q3, q4 = np.percentile(v, [0, 25, 50, 75, 100], method="linear")
-    return float(q0), float(q1), float(q2), float(q3), float(q4), float(np.mean(v))
+    arr = np.asarray(values, dtype=float)
+    last = arr.size - 1
+    pos = last * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    lo = np.floor(pos).astype(np.intp)
+    hi = lo + 1
+    at_end = pos >= last
+    lo[at_end] = hi[at_end] = -1
+    v = np.partition(arr, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = v[lo], v[hi]
+    frac = pos - lo
+    diff = b - a
+    qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
+    return (*qs.tolist(), float(np.mean(arr)))
 
 
 def bucket(people: Sequence[tuple[PersonMeta, float | None]]

@@ -26,6 +26,9 @@ __all__ = [
     "weighted_epsilon",
 ]
 
+# Histories epsilon_h takes at a time: its float buffer stays at 1 MiB.
+_CHUNK = 1 << 16
+
 
 def max_history(n: int) -> int:
     """Largest history length at which a sub-1/2 epsilon verdict is possible.
@@ -81,6 +84,11 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     denominator.  Histories that never occur contribute no evidence and are
     skipped; if none occurs the result is undefined (None).  A pattern with
     zero count under an occurring history yields the maximal deviation 1/2.
+
+    The maximum is taken over chunks of _CHUNK histories, each in one
+    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  Every
+    ratio sees the same float operations whatever the chunk, and the maximum
+    is exact, so the result does not depend on the chunk size.
     """
     if h < 0:
         raise ValueError(f"history length must be >= 0, got {h}")
@@ -94,16 +102,20 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
             return None
         return float(np.max(np.abs(num / n - 0.5)))
     den = counts.level(h)
-    occurring = den > 0
-    if not occurring.any():
+    if not den.any():
         return None
-    # One buffer: histories that never occur keep the ratio 1/2, whose zero
-    # deviation cannot raise the maximum.
     pairs = num.reshape(-1, 2)
-    ratios = np.divide(pairs, den[:, None], out=np.full(pairs.shape, 0.5),
-                       where=occurring[:, None])
-    ratios -= 0.5
-    return float(np.abs(ratios, out=ratios).max())
+    worst = 0.0
+    for start in range(0, den.size, _CHUNK):
+        den_c = den[start:start + _CHUNK, None]
+        pairs_c = pairs[start:start + _CHUNK]
+        # Histories that never occur keep the ratio 1/2, whose zero deviation
+        # cannot raise the maximum.
+        ratios = np.divide(pairs_c, den_c, out=np.full(pairs_c.shape, 0.5),
+                           where=den_c > 0)
+        ratios -= 0.5
+        worst = max(worst, float(np.abs(ratios, out=ratios).max()))
+    return worst
 
 
 def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linear",

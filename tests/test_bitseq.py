@@ -1,8 +1,12 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svrand import bitseq
 from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
 
 
@@ -129,6 +133,31 @@ class TestCountSubstringsFast:
             if max_len <= n:
                 assert (count_substrings_fast(s, max_len, "cyclic")
                         == count_substrings(s, max_len, "cyclic"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.sampled_from([1, 2, 7]), k=st.integers(1, 5),
+           edge=st.sampled_from([-1, 0, 1]), max_len=st.integers(1, 9),
+           tail=st.booleans(), data=st.data())
+    def test_block_boundaries(self, block, k, edge, max_len, tail, data):
+        # n, or in linear mode with `tail` the window count n - L + 1, sits
+        # one before, on or one after a multiple of the block size.
+        n = k * block + edge + (max_len - 1 if tail else 0)
+        s = BitSequence(data.draw(st.text("01", min_size=n, max_size=n)))
+        with mock.patch.object(bitseq, "_BLOCK", block):
+            assert count_substrings_fast(s, max_len) == count_substrings(s, max_len)
+            if max_len <= n:
+                assert (count_substrings_fast(s, max_len, "cyclic")
+                        == count_substrings(s, max_len, "cyclic"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=st.sampled_from([1, 2, 7]), text=st.text("01", min_size=2, max_size=14),
+           shorter=st.booleans())
+    def test_cyclic_length_close_to_n(self, block, text, shorter):
+        s = BitSequence(text)
+        max_len = len(text) - shorter
+        with mock.patch.object(bitseq, "_BLOCK", block):
+            assert (count_substrings_fast(s, max_len, "cyclic")
+                    == count_substrings(s, max_len, "cyclic"))
 
 
 class TestDebruijn:

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svrand.bitseq import BitSequence
 from svrand.cohort import (CohortStats, PersonResult, bucket, merge_persons,
@@ -40,6 +43,19 @@ class TestQuartiles:
         q = quartiles(values)
         assert q[0] <= q[1] <= q[2] <= q[3] <= q[4]
         assert q[0] == min(values) and q[4] == max(values)
+
+    # Signed zeros are drawn often: sorting would order tied 0.0 and -0.0
+    # differently from numpy's partition.  The mean of values near the float
+    # maximum overflows, as np.mean always did.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+                    min_size=1, max_size=30))
+    def test_equals_numpy_percentile(self, values):
+        expected = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100],
+                                 method="linear")
+        assert np.array(quartiles(values)[:5]).tobytes() == expected.tobytes()
 
 
 class TestBucket:

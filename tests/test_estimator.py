@@ -1,9 +1,14 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svrand import estimator
 from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
 from svrand.estimator import (EpsilonProfile, epsilon_h, epsilon_profile,
                               history_weights, loglog_history, max_history,
@@ -34,6 +39,19 @@ def reference_epsilon(text, h):
             if best is None or dev > best:
                 best = dev
     return best
+
+
+def one_buffer_epsilon(counts, h):
+    """epsilon_h for h >= 1 over all 2**h histories in one float buffer."""
+    den = counts.level(h)
+    occurring = den > 0
+    if not occurring.any():
+        return None
+    pairs = counts.level(h + 1).reshape(-1, 2)
+    ratios = np.divide(pairs, den[:, None], out=np.full(pairs.shape, 0.5),
+                       where=occurring[:, None])
+    ratios -= 0.5
+    return float(np.abs(ratios, out=ratios).max())
 
 
 class TestEpsilonH:
@@ -77,6 +95,15 @@ class TestEpsilonH:
             expected = (float(np.max(np.abs(num[seen] / den[seen, None] - 0.5)))
                         if seen.any() else None)
             assert epsilon_h(counts, h) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunk=st.sampled_from([1, 2, 7]),
+           text=st.text("01", min_size=1, max_size=200), max_len=st.integers(2, 9))
+    def test_chunks_equal_one_buffer(self, chunk, text, max_len):
+        counts = count_substrings_fast(BitSequence(text), max_len)
+        with mock.patch.object(estimator, "_CHUNK", chunk):
+            for h in range(1, max_len):
+                assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
 
     def test_undefined_when_no_history_occurs(self):
         counts = count_substrings_fast(BitSequence("01"), 4)
@@ -166,6 +193,22 @@ class TestEpsilonProfile:
         s = BitSequence("".join(rng.choice("011") for _ in range(500)))
         profile = epsilon_profile(s)
         assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
+
+    def test_peak_memory_is_the_count_table(self):
+        # 2**22 bits: H = 21, so the table holds int64 levels 1..22.  Neither
+        # the counter nor the estimator may hold a buffer that scales with n
+        # or 2**H beside it.
+        rng = np.random.default_rng(22)
+        s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
+        table_bytes = 8 * sum(1 << length for length in range(1, 23))
+        tracemalloc.start()
+        try:
+            profile = epsilon_profile(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.max_h == 21
+        assert peak < table_bytes + (8 << 20)
 
     def test_profile_validates_range_and_bound(self):
         with pytest.raises(ValueError):
