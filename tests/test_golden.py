@@ -10,11 +10,17 @@ from pathlib import Path
 import pytest
 
 from svrand.cli import main
+from svrand.ingest import (NOCTURNAL_MIN_RECORDS, edit_perturbations, extract_nocturnal,
+                           parse_holter)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 FIXTURE = "F_42_221500.txt"
 SHORT = "M_30_000000.txt"  # the fixture's first 8 beats
+# A 6.2 h recording (26 000 beats, 22:30 to 04:43) for --mode med.  Its
+# nocturnal window holds six non-normal runs of 1 to 4 beats, which editing
+# repairs, and one of 7 beats, which it drops.
+NIGHT = "F_55_223000.txt"
 
 VARIANTS = {
     "default": ["analyze", FIXTURE],
@@ -32,6 +38,9 @@ VARIANTS = {
     "two_persons_h12_forced": ["analyze", FIXTURE, SHORT, "--h", "12", "--force-h"],
     # Unknown sex and age: empty cells, no cohort rows.
     "meta_unknown": ["analyze", FIXTURE, "--meta-pattern", "X(?P<sex>[FM])"],
+    # Both persons cut to the shorter one's bits.
+    "mode_trim": ["analyze", FIXTURE, SHORT, "--mode", "trim"],
+    "mode_med": ["analyze", NIGHT, "--mode", "med"],
 }
 REPORTS = ("persons.csv", "cohorts.csv", "report.json")
 
@@ -50,3 +59,14 @@ def test_stats_matches_golden(tmp_path, monkeypatch, capsys):
     assert main(["stats", "golden/default/persons.csv", "--out", str(tmp_path)]) == 0
     for name in ("cohorts.csv", "cohorts.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "stats" / name).read_bytes(), name
+
+
+def test_night_recording_exercises_editing():
+    # Guards what the mode_med golden covers: 13 beats in short runs are
+    # edited and the 7-beat run is dropped inside the nocturnal window.
+    _, series = parse_holter(DATA / NIGHT)
+    window = extract_nocturnal(series)
+    edited = edit_perturbations(window)
+    assert len(window) >= NOCTURNAL_MIN_RECORDS
+    assert int(edited.edited.sum()) == 13
+    assert len(window) - len(edited) == 7
