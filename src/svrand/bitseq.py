@@ -223,11 +223,12 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     shorter) are counted in blocks of _BLOCK positions, so no array of all n
     window values is ever built.  A block's values come from power-of-two
     windows in uint32 (see _window_values): about log2 L shift/or passes
-    instead of L - 1.  np.add.at adds each block into the one int64 table of
-    length-L counts.  Shorter lengths follow by marginalising away the last
-    bit, level[h] = level[h + 1] summed over pattern pairs, which misses only
-    the window starting at n - h: in linear mode that window, the last h bits,
-    is added back.  Cyclic mode counts the sequence with its first L - 1 bits
+    instead of L - 1.  Each length has its own int64 array, zero beyond a
+    linear sequence's n; np.add.at adds each block into the length-L one.
+    Shorter lengths are filled in place by marginalising away the last bit,
+    level[h] = level[h + 1] summed over pattern pairs, which misses only the
+    window starting at n - h: in linear mode that window, the last h bits, is
+    added back.  Cyclic mode counts the sequence with its first L - 1 bits
     appended, so no window is missed; it needs L <= n.
     """
     if mode not in ("linear", "cyclic"):
@@ -241,49 +242,42 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
                 f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
         bits = np.concatenate([bits, bits[:max_len - 1]])
     top = min(max_len, n)
-    counted: list[np.ndarray] = []  # levels top, top - 1, ..., 1
+    levels = [np.zeros(1 << h, dtype=np.int64) for h in range(1, max_len + 1)]
     if top:
-        table = np.zeros(1 << top, dtype=np.int64)
         windows = bits.size - top + 1
         for start in range(0, windows, _BLOCK):
             vals = _window_values(bits[start:min(start + _BLOCK, windows) + top - 1], top)
-            np.add.at(table, vals, 1)
+            np.add.at(levels[top - 1], vals, 1)
         last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
-        counted.append(table)
         for h in range(top - 1, 0, -1):
-            level = counted[-1].reshape(-1, 2).sum(axis=1)
+            np.sum(levels[h].reshape(-1, 2), axis=1, out=levels[h - 1])
             if mode == "linear":
-                level[last & ((1 << h) - 1)] += 1
-            counted.append(level)
-    zeros = [np.zeros(1 << h, dtype=np.int64) for h in range(top + 1, max_len + 1)]
-    return CountTable(max_len, mode, n, counted[::-1] + zeros)
+                levels[h - 1][last & ((1 << h) - 1)] += 1
+    return CountTable(max_len, mode, n, levels)
 
 
 def debruijn(order: int) -> BitSequence:
     """Lexicographically least binary De Bruijn sequence of the given order.
 
     The result has length 2**order and, read cyclically, contains every
-    binary pattern of that length exactly once.  Built by concatenating the
-    Lyndon words whose lengths divide the order, in lexicographic order.
+    binary pattern of that length exactly once.  It joins the Lyndon words
+    whose lengths divide the order, in lexicographic order, walked with
+    Duval's successor step and appended straight to the result's bytes.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if (1 << order) > DEBRUIJN_BUDGET_BITS:
         raise ValueError(f"order {order} yields {1 << order} bits, "
                          f"over the budget of {DEBRUIJN_BUDGET_BITS}")
-    out: list[str] = []
-    word = [0] * (order + 1)
-
-    def extend(t: int, p: int) -> None:
-        if t > order:
-            if order % p == 0:
-                out.extend("01"[b] for b in word[1:p + 1])
-            return
-        word[t] = word[t - p]
-        extend(t + 1, p)
-        for b in range(word[t - p] + 1, 2):
-            word[t] = b
-            extend(t + 1, t)
-
-    extend(1, 1)
-    return BitSequence("".join(out))
+    out = bytearray()
+    word = bytearray(1)  # the Lyndon word "0"
+    while True:
+        if order % len(word) == 0:
+            out += word
+        # Duval's step: repeat the word to the full order, then raise its
+        # last 0 to 1 and cut after it.  Past the word "1" there is none.
+        word = (word * order)[:order]
+        last_zero = word.rfind(0)
+        if last_zero < 0:
+            return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
+        word[last_zero:] = b"\x01"

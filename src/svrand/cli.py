@@ -230,9 +230,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if cut is not None and mode not in ("cut", "merged"):
         raise UsageError(f"--cut does not combine with --mode {mode}")
 
-    if args.h not in ("auto", "loglog"):
+    h = args.h
+    if h not in ("auto", "loglog"):
         try:
-            if int(args.h) < 0:
+            h = str(int(h))  # one spelling per length: "05" and "+5" record "5"
+            if h.startswith("-"):
                 raise ValueError
         except ValueError:
             raise UsageError(
@@ -252,7 +254,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         eta2=args.eta2,
         cut=cut,
         counting="cyclic" if args.cyclic else "linear",
-        h=args.h,
+        h=h,
         force_h=args.force_h,
         mode=mode,
         format=args.format,

@@ -80,8 +80,8 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     """Worst next-bit deviation from 1/2 after histories of length h.
 
     Uses raw occurrence counts: the ratio for pattern w = history + bit is
-    count(w) / count(history), with the whole-sequence length as the h = 0
-    denominator.  Histories that never occur contribute no evidence and are
+    count(w) / count(history); the empty history (h = 0) occurs n times, once
+    per bit.  Histories that never occur contribute no evidence and are
     skipped; if none occurs the result is undefined (None).  A pattern with
     zero count under an occurring history yields the maximal deviation 1/2.
 
@@ -95,16 +95,10 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     if counts.max_len < h + 1:
         raise ValueError(
             f"count table covers lengths up to {counts.max_len}, need {h + 1}")
-    num = counts.level(h + 1)
-    if h == 0:
-        n = counts.source_len
-        if n == 0:
-            return None
-        return float(np.max(np.abs(num / n - 0.5)))
-    den = counts.level(h)
+    den = counts.level(h) if h else np.array([counts.source_len])
     if not den.any():
         return None
-    pairs = num.reshape(-1, 2)
+    pairs = counts.level(h + 1).reshape(-1, 2)
     worst = 0.0
     for start in range(0, den.size, _CHUNK):
         den_c = den[start:start + _CHUNK, None]
@@ -130,23 +124,17 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
     if n < 2:
         raise ValueError(f"need at least 2 bits to estimate, got {n}")
     bound = max_history(n)
-    clamped = False
-    forced = False
-    if max_h is None:
-        use_h = bound
-    elif max_h < 0:
+    requested = bound if max_h is None else max_h
+    if requested < 0:
         raise ValueError(f"requested max history must be >= 0, got {max_h}")
-    elif max_h <= bound:
-        use_h = max_h
-    elif force_h:
-        use_h = max_h
-        forced = True
-    else:
-        use_h = bound
-        clamped = True
+    over = requested > bound
+    clamped = over and not force_h
+    forced = over and not clamped
+    if clamped:
         warnings.warn(
             f"requested history length {max_h} exceeds floor(log2 n) - 1 = {bound} "
             f"for n={n}; clamped to {bound}")
+    use_h = bound if clamped else requested
     counts = count_substrings_fast(s, use_h + 1, mode)
     eps = tuple(epsilon_h(counts, h) for h in range(use_h + 1))
     return EpsilonProfile(epsilons=eps, max_h=use_h, n=n, mode=mode,

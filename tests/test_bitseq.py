@@ -14,6 +14,31 @@ def random_bits(rng, n):
     return BitSequence("".join(rng.choice("01") for _ in range(n)))
 
 
+def recursive_debruijn(order):
+    """Reference: the recursive Lyndon-word (prenecklace) generator, as text."""
+    out = []
+    word = [0] * (order + 1)
+
+    def extend(t, p):
+        if t > order:
+            if order % p == 0:
+                out.extend("01"[b] for b in word[1:p + 1])
+            return
+        word[t] = word[t - p]
+        extend(t + 1, p)
+        for b in range(word[t - p] + 1, 2):
+            word[t] = b
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return "".join(out)
+
+
+def is_debruijn(text, order):
+    wrapped = text + text[:order - 1]
+    return len({wrapped[i:i + order] for i in range(len(text))}) == len(text) == 1 << order
+
+
 class TestBitSequence:
     def test_rejects_other_symbols(self):
         with pytest.raises(ValueError):
@@ -134,6 +159,13 @@ class TestCountSubstringsFast:
                 assert (count_substrings_fast(s, max_len, "cyclic")
                         == count_substrings(s, max_len, "cyclic"))
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_short_sequence(self, n):
+        # Lengths beyond n stay all zero, and every lower level is exact.
+        for value in range(1 << n):
+            s = BitSequence(format(value, f"0{n}b") if n else "")
+            assert count_substrings_fast(s, 9) == count_substrings(s, 9)
+
     @settings(max_examples=200, deadline=None)
     @given(block=st.sampled_from([1, 2, 7]), k=st.integers(1, 5),
            edge=st.sampled_from([-1, 0, 1]), max_len=st.integers(1, 9),
@@ -172,6 +204,18 @@ class TestDebruijn:
         assert len(seq) == 1 << order
         table = count_substrings(seq, order, "cyclic")
         assert (table.level(order) == 1).all()
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_equals_recursive_generator(self, order):
+        assert str(debruijn(order)) == recursive_debruijn(order)
+
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_lexicographically_least(self, order):
+        # Candidates in increasing value are candidates in lexicographic order.
+        size = 1 << order
+        least = next(text for text in (format(v, f"0{size}b") for v in range(1 << size))
+                     if is_debruijn(text, order))
+        assert str(debruijn(order)) == least
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,17 @@ class TestAnalyzeCommand:
         (row,) = read_persons_csv((out / "persons.csv").read_text())
         assert int(row["H"]) == 3  # floor(log2 floor(log2 1999))
 
+    def test_h_spellings_write_identical_reports(self, tmp_path, capsys):
+        # The config records the history length, not how it was typed.
+        path = synth_file(tmp_path)
+        outs = [tmp_path / f"rep{k}" for k in range(3)]
+        for out, spelling in zip(outs, ("5", "05", "+5")):
+            assert main(["analyze", str(path), "--h", spelling, "--out", str(out)]) == 0
+        for fname in ("persons.csv", "cohorts.csv", "report.json"):
+            for out in outs[1:]:
+                assert (out / fname).read_bytes() == (outs[0] / fname).read_bytes()
+        assert json.loads((outs[0] / "report.json").read_text())["config"]["h"] == "5"
+
     def test_med_mode_composes_nocturnal_and_editing(self, tmp_path, capsys):
         path = synth_file(tmp_path, name="M_55_230000.txt", n=28000, seed=3)
         out = tmp_path / "rep"

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,12 @@ def one_buffer_epsilon(counts, h):
     return float(np.abs(ratios, out=ratios).max())
 
 
+def closed_form_eps0(counts):
+    """The h = 0 estimate as its own formula: max |count(b) / n - 1/2|."""
+    n = counts.source_len
+    return float(np.max(np.abs(counts.level(1) / n - 0.5))) if n else None
+
+
 class TestEpsilonH:
     def test_constant_sequence_h0(self):
         counts = count_substrings_fast(BitSequence("0000"), 1)
@@ -88,6 +95,7 @@ class TestEpsilonH:
         # Bit for bit the plain form: divide only where the history occurs.
         rng = np.random.default_rng(n)
         counts = count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 12)
+        assert epsilon_h(counts, 0) == closed_form_eps0(counts)
         for h in range(1, 12):
             num = counts.level(h + 1).reshape(-1, 2)
             den = counts.level(h)
@@ -102,8 +110,13 @@ class TestEpsilonH:
     def test_chunks_equal_one_buffer(self, chunk, text, max_len):
         counts = count_substrings_fast(BitSequence(text), max_len)
         with mock.patch.object(estimator, "_CHUNK", chunk):
+            assert epsilon_h(counts, 0) == closed_form_eps0(counts)
             for h in range(1, max_len):
                 assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
+
+    def test_empty_sequence_h0_is_undefined(self):
+        counts = count_substrings_fast(BitSequence(""), 1)
+        assert epsilon_h(counts, 0) is None
 
     def test_undefined_when_no_history_occurs(self):
         counts = count_substrings_fast(BitSequence("01"), 4)
@@ -160,6 +173,30 @@ class TestEpsilonProfile:
             profile = epsilon_profile(s, max_h=40)
         assert profile.max_h == 8
         assert profile.clamped and not profile.forced
+
+    # n = 1000 bits, so the bound floor(log2 n) - 1 is 8.
+    @pytest.mark.parametrize("max_h, force_h, expected", [
+        (None, False, (8, False, False, False)),
+        (None, True, (8, False, False, False)),
+        (7, False, (7, False, False, False)),
+        (7, True, (7, False, False, False)),
+        (8, False, (8, False, False, False)),
+        (8, True, (8, False, False, False)),
+        (9, False, (8, True, False, True)),
+        (9, True, (9, False, True, False)),
+    ])
+    def test_history_policy(self, max_h, force_h, expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = epsilon_profile(biased_coin(1000, 0.0, 3), max_h, force_h=force_h)
+        got = (profile.max_h, profile.clamped, profile.forced, bool(caught))
+        assert got == expected
+        assert type(profile.clamped) is bool and type(profile.forced) is bool
+
+    @pytest.mark.parametrize("force_h", [False, True])
+    def test_negative_request_is_rejected(self, force_h):
+        with pytest.raises(ValueError, match=r"must be >= 0, got -1"):
+            epsilon_profile(biased_coin(1000, 0.0, 3), -1, force_h=force_h)
 
     def test_forced_override_is_recorded(self):
         profile = epsilon_profile(BitSequence("0101"), max_h=3, force_h=True)
