@@ -34,8 +34,9 @@ _VALID_BITS = frozenset("01")
 class BitSequence:
     """Immutable sequence of 0/1 symbols.
 
-    Stored as a read-only uint8 array of 0s and 1s; the text form is derived
-    on demand.
+    Built from a string of '0' and '1', or from an iterable that `from_array`
+    accepts as a list.  Stored as a read-only uint8 array of 0s and 1s; the
+    text form is derived on demand.
     """
 
     __slots__ = ("_arr",)
@@ -47,7 +48,7 @@ class BitSequence:
                 bad = sorted(set(bits) - _VALID_BITS)
                 raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
         else:
-            arr = np.array([1 if b else 0 for b in bits], dtype=np.uint8)
+            arr = BitSequence.from_array(list(bits))._arr
         arr.flags.writeable = False
         self._arr = arr
 
@@ -61,11 +62,11 @@ class BitSequence:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitSequence":
-        """Build from a numpy array of 0/1 values of any numeric or bool type."""
+        """Build from a 1-D array of 0/1 values of any numeric or bool type."""
         arr = np.asarray(arr)
         bits = arr.astype(np.uint8)
-        if (bits > 1).any() or (bits != arr).any():
-            raise ValueError("array elements must be 0 or 1")
+        if arr.ndim != 1 or (bits > 1).any() or (bits != arr).any():
+            raise ValueError("bits must be a 1-D array of 0s and 1s")
         return cls._wrap(bits)
 
     @property

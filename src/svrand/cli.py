@@ -16,7 +16,7 @@ import re
 import sys
 import traceback
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from svrand.bitseq import BitSequence, debruijn
@@ -25,7 +25,7 @@ from svrand.estimator import epsilon_profile, loglog_history, weighted_epsilon
 from svrand.ingest import (DEFAULT_META_PATTERN, HolterFormatError, PersonMeta,
                            edit_perturbations, extract_nocturnal, filter_normal,
                            parse_holter, write_holter)
-from svrand.report import (read_persons_csv, render_cohorts_csv, render_json,
+from svrand.report import (read_stats_people, render_cohorts_csv, render_json,
                            render_persons_csv)
 from svrand.synth import SourceSpec, synthetic_rr
 from svrand.transform import (TrendCutPattern, cut_trends, discretize_accel,
@@ -43,27 +43,85 @@ class UsageError(Exception):
     """Contradictory or malformed options."""
 
 
+DISCRETIZERS = ("accel", "rapid", "mono")
+COUNTINGS = ("linear", "cyclic")
+MODES = ("full", "trim", "cut", "med", "merged")
+FORMATS = ("csv", "json", "both")
+# cut_trends accepts any run lengths; a run uses only these symmetric presets.
+CUT_PRESETS = ((3, 3), (4, 4), (5, 5), (6, 6))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved analysis settings; all but out_dir are embedded in every report."""
+    """Checked analysis settings, embedded whole in every report.
+
+    Normalised on construction, so that `RunConfig(**asdict(c)) == c`: mode None
+    is cut with a cut and full without, mode cut alone cuts (3, 3), and h is a
+    plain decimal.  A contradictory or unknown setting is a ValueError.
+    """
 
     inputs: tuple[str, ...]
-    out_dir: str = "."
     discretizer: str = "accel"
-    eta1: float = 0.0
+    eta1: float = 0.0  # no offset, which goes with any discretizer
     eta2: float | None = None
     cut: tuple[int, int] | None = None
-    counting: str = "linear"  # or "cyclic"
+    counting: str = "linear"
     h: str = "auto"  # "auto", "loglog", or a decimal history length
     force_h: bool = False
-    mode: str = "full"
+    mode: str | None = None
     format: str = "both"
     meta_pattern: str = DEFAULT_META_PATTERN
 
-    def resolved(self) -> dict:
-        settings = asdict(self)
-        del settings["out_dir"]
-        return settings
+    def __post_init__(self):
+        if not self.inputs or isinstance(self.inputs, str):
+            raise ValueError(f"inputs must be a non-empty sequence of file patterns, "
+                             f"got {self.inputs!r}")
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        if self.mode is None:
+            object.__setattr__(self, "mode", "full" if self.cut is None else "cut")
+        for name, domain in (("discretizer", DISCRETIZERS), ("counting", COUNTINGS),
+                             ("mode", MODES), ("format", FORMATS)):
+            if (value := getattr(self, name)) not in domain:
+                raise ValueError(f"{name} must be one of {', '.join(domain)}, got {value!r}")
+        if self.discretizer != "accel" and self.eta1 != 0.0:
+            raise ValueError(f"--eta1 applies only to the accel discretizer, "
+                             f"not {self.discretizer}")
+        if self.discretizer != "rapid" and self.eta2 is not None:
+            raise ValueError(f"--eta2 applies only to the rapid discretizer, "
+                             f"not {self.discretizer}")
+        if self.discretizer == "rapid" and self.eta2 is None:
+            raise ValueError("the rapid discretizer requires --eta2")
+        if self.cut is not None:
+            object.__setattr__(self, "cut", tuple(self.cut))
+            if self.cut not in CUT_PRESETS:
+                presets = " ".join(f"{i},{j}" for i, j in CUT_PRESETS)
+                given = ",".join(map(str, self.cut))
+                raise ValueError(f"--cut supports the presets {presets}; got {given!r}")
+        elif self.mode == "cut":
+            object.__setattr__(self, "cut", (3, 3))
+        if self.cut is not None and self.mode not in ("cut", "merged"):
+            raise ValueError(f"--cut does not combine with --mode {self.mode}")
+        if self.h not in ("auto", "loglog"):
+            try:
+                h = str(int(str(self.h)))  # one spelling: "05" and "+5" record "5"
+                if h.startswith("-"):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"--h must be auto, loglog, or a non-negative integer, "
+                                 f"got {self.h!r}") from None
+            object.__setattr__(self, "h", h)
+        try:
+            re.compile(self.meta_pattern)
+        except re.error as exc:
+            raise ValueError(f"--meta-pattern is not a valid regex: {exc}") from None
+
+    @property
+    def tag(self) -> str:
+        """The experiment's name in the person rows: the mode, joined by the cut."""
+        if self.cut is None:
+            return self.mode
+        cut = f"cut({self.cut[0]},{self.cut[1]})"
+        return cut if self.mode == "cut" else f"{self.mode}+{cut}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,8 +171,7 @@ def _discretize(series, config: RunConfig) -> BitSequence:
     return discretize_mono(series)
 
 
-def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig,
-              tag: str) -> PersonResult:
+def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig) -> PersonResult:
     n = len(bits)
     if n < 2:
         raise ValueError(f"{meta.id}: only {n} bits left after pre-processing")
@@ -131,7 +188,7 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig,
         weighted = weighted_epsilon(profile)
     except ValueError as exc:
         warnings.warn(f"{meta.id}: weighted epsilon unavailable: {exc}")
-    return PersonResult(meta=meta, profile=profile, weighted=weighted, mode_tag=tag)
+    return PersonResult(meta=meta, profile=profile, weighted=weighted, mode_tag=config.tag)
 
 
 def run_analysis(config: RunConfig
@@ -147,10 +204,6 @@ def run_analysis(config: RunConfig
             bits = cut_trends(bits, TrendCutPattern(*config.cut))
         people.append((meta, bits))
 
-    tag = config.mode
-    if config.cut is not None:
-        cut_tag = f"cut({config.cut[0]},{config.cut[1]})"
-        tag = cut_tag if config.mode == "cut" else f"{config.mode}+{cut_tag}"
     if config.mode == "trim":
         trimmed = trim_to_min([bits for _, bits in people])
         people = [(meta, bits) for (meta, _), bits in zip(people, trimmed)]
@@ -158,7 +211,7 @@ def run_analysis(config: RunConfig
         merged = merge_persons([bits for _, bits in people])
         people = [(PersonMeta(id=f"merged({len(paths)})"), merged)]
 
-    results = [_estimate(meta, bits, config, tag) for meta, bits in people]
+    results = [_estimate(meta, bits, config) for meta, bits in people]
     stats, unknown = bucket([(r.meta, r.weighted) for r in results])
     return results, stats, unknown
 
@@ -194,79 +247,24 @@ def _write_reports(out_dir: str, out_format: str, resolved: dict, stats, unknown
         print(path)
 
 
-# cut_trends accepts any run lengths; the command line exposes only these
-# symmetric presets.
-_CUT_PRESETS = {(3, 3), (4, 4), (5, 5), (6, 6)}
-
-
-def _parse_cut(text: str) -> tuple[int, int]:
-    try:
-        i, j = (int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"--cut expects I,J (two integers), got {text!r}") from None
-    if (i, j) not in _CUT_PRESETS:
-        presets = " ".join(f"{a},{b}" for a, b in sorted(_CUT_PRESETS))
-        raise UsageError(f"--cut supports the presets {presets}; got {text!r}")
-    return i, j
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    discretizer = args.discretizer or "accel"
-    if discretizer != "accel" and args.eta1 is not None:
-        raise UsageError(f"--eta1 applies only to the accel discretizer, "
-                         f"not {discretizer}")
-    if discretizer != "rapid" and args.eta2 is not None:
-        raise UsageError(f"--eta2 applies only to the rapid discretizer, "
-                         f"not {discretizer}")
-    if discretizer == "rapid" and args.eta2 is None:
-        raise UsageError("the rapid discretizer requires --eta2")
-
-    cut = _parse_cut(args.cut) if args.cut else None
-    mode = args.mode
-    if mode is None:
-        mode = "cut" if cut is not None else "full"
-    if mode == "cut" and cut is None:
-        cut = (3, 3)
-    if cut is not None and mode not in ("cut", "merged"):
-        raise UsageError(f"--cut does not combine with --mode {mode}")
-
-    h = args.h
-    if h not in ("auto", "loglog"):
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    if args.cut:
         try:
-            h = str(int(h))  # one spelling per length: "05" and "+5" record "5"
-            if h.startswith("-"):
-                raise ValueError
+            i, j = (int(part) for part in args.cut.split(","))
         except ValueError:
-            raise UsageError(
-                f"--h must be auto, loglog, or a non-negative integer, "
-                f"got {args.h!r}") from None
-
+            raise UsageError(f"--cut expects I,J (two integers), got {args.cut!r}") from None
+        settings["cut"] = (i, j)
     try:
-        re.compile(args.meta_pattern)
-    except re.error as exc:
-        raise UsageError(f"--meta-pattern is not a valid regex: {exc}") from None
-
-    return RunConfig(
-        inputs=tuple(args.inputs),
-        out_dir=args.out,
-        discretizer=discretizer,
-        eta1=args.eta1 if args.eta1 is not None else 0.0,
-        eta2=args.eta2,
-        cut=cut,
-        counting="cyclic" if args.cyclic else "linear",
-        h=h,
-        force_h=args.force_h,
-        mode=mode,
-        format=args.format,
-        meta_pattern=args.meta_pattern,
-    )
+        return RunConfig(**settings)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     results, stats, unknown = run_analysis(config)
-    _write_reports(config.out_dir, config.format, config.resolved(), stats, unknown,
-                   results)
+    _write_reports(args.out, config.format, asdict(config), stats, unknown, results)
     return EXIT_OK
 
 
@@ -292,13 +290,9 @@ def cmd_debruijn(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = read_persons_csv(Path(args.persons_csv).read_text(encoding="utf-8"))
-    if not rows:
+    people = read_stats_people(Path(args.persons_csv).read_text(encoding="utf-8"))
+    if not people:
         raise HolterFormatError(f"{args.persons_csv}: no person rows")
-    people = [(PersonMeta(id=row["person_id"], sex=row["sex"] or None,
-                          age=int(row["age"]) if row["age"] else None),
-               float(row["eps_weighted"]) if row["eps_weighted"] else None)
-              for row in rows]
     stats, unknown = bucket(people)
     _write_reports(args.out, args.format, {"inputs": [args.persons_csv], "mode": "stats"},
                    stats, unknown)
@@ -309,26 +303,26 @@ def _add_pipeline_options(parser: argparse.ArgumentParser, with_mode: bool) -> N
     parser.add_argument("inputs", nargs="+", metavar="FILE",
                         help="annotated RR files (globs allowed)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--discretizer", choices=["accel", "rapid", "mono"],
-                        default=None, help="RR-to-bit rule (default accel)")
-    parser.add_argument("--eta1", type=float, default=None,
+    parser.add_argument("--discretizer", choices=DISCRETIZERS, default="accel",
+                        help="RR-to-bit rule (default accel)")
+    parser.add_argument("--eta1", type=float, default=0.0,
                         help="offset in seconds for the accel discretizer")
     parser.add_argument("--eta2", type=float, default=None,
                         help="threshold in seconds for the rapid discretizer")
     parser.add_argument("--cut", metavar="I,J", default=None,
                         help="trend-cut run lengths, e.g. 3,3")
     if with_mode:
-        parser.add_argument("--mode",
-                            choices=["full", "trim", "cut", "med", "merged"],
-                            default=None, help="experiment mode (default full)")
-    parser.add_argument("--cyclic", action="store_true",
+        parser.add_argument("--mode", choices=MODES, default=None,
+                            help="experiment mode (default full, or cut with --cut)")
+    parser.add_argument("--cyclic", dest="counting", action="store_const",
+                        const="cyclic", default="linear",
                         help="count substrings with wrap-around")
     parser.add_argument("--h", default="auto",
                         help="max history: auto, loglog, or an integer")
     parser.add_argument("--force-h", action="store_true",
                         help="allow an explicit --h beyond floor(log2 n) - 1")
-    parser.add_argument("--format", choices=["csv", "json", "both"],
-                        default="both", help="report format(s)")
+    parser.add_argument("--format", choices=FORMATS, default="both",
+                        help="report format(s)")
     parser.add_argument("--meta-pattern", default=DEFAULT_META_PATTERN,
                         help="regex with sex/age/start groups for file names")
 
@@ -374,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute cohort statistics from a persons CSV")
     p.add_argument("persons_csv")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["csv", "json", "both"], default="both")
+    p.add_argument("--format", choices=FORMATS, default="both")
     p.set_defaults(func=cmd_stats)
 
     return parser

@@ -97,6 +97,10 @@ class RRRecord:
         if "\x00" in self.annotation:
             # A numpy str column would drop a trailing NUL.
             raise ValueError("annotation must not contain NUL")
+        if self.annotation.split() != [self.annotation]:
+            # The file's columns are split at whitespace.
+            raise ValueError(f"annotation must not contain whitespace, "
+                             f"got {self.annotation!r}")
 
 
 _COLUMNS = ("index", "time", "interval", "annotation", "edited")
@@ -130,6 +134,9 @@ class RRSeries:
         return series
 
     def _assign(self, header: str, *columns: np.ndarray) -> None:
+        if header and header.splitlines() != [header]:
+            # The file's header is its first line.
+            raise ValueError(f"header must be one line, got {header!r}")
         self.header = header
         for name, column in zip(_COLUMNS, columns):
             column.flags.writeable = False

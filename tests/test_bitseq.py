@@ -64,6 +64,16 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence.from_array(np.array([0, 2]))
 
+    @pytest.mark.parametrize("bits", [[2, 0, -1, 0.5], [2], [-1], [0.5], [[0, 1]]])
+    def test_iterable_takes_the_array_rule(self, bits):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            BitSequence(bits)
+
+    def test_iterable_of_bools_and_ints(self):
+        assert BitSequence([True, False, 1, 0]) == BitSequence("1010")
+        assert BitSequence(iter([0, 1])) == BitSequence("01")
+        assert BitSequence([]) == BitSequence("")
+
 
 class TestCountSubstrings:
     def test_overlapping_linear_counts(self):

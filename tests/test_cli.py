@@ -1,10 +1,12 @@
 import json
+import re
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from svrand.cli import main
+from svrand.cli import RunConfig, main
 from svrand.estimator import epsilon_profile, weighted_epsilon
 from svrand.ingest import edit_perturbations, extract_nocturnal, filter_normal, parse_holter
 from svrand.report import fmt6, read_persons_csv
@@ -229,6 +231,15 @@ class TestAnalyzeCommand:
         (row,) = read_persons_csv((out / "persons.csv").read_text())
         assert fmt6(doc["persons"][0]["eps_weighted"]) == row["eps_weighted"]
 
+    def test_literal_path_with_glob_characters(self, tmp_path, capsys):
+        # The pattern matches no file, so the path is taken as it is written.
+        path = tmp_path / "F_42_[1].txt"
+        shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), "--out", str(out), "--format", "json"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [p["person_id"] for p in doc["persons"]] == ["F_42_[1]"]
+
     def test_carriage_return_in_file_name_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "F_42\r_221500.txt"
         shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
@@ -273,7 +284,12 @@ class TestStatsCommand:
          "lacks the column(s) age"),
         ("# config {}\nperson_id,sex,age,eps_weighted\nF_42_221500,F,42,0.2\nM_51_221500,M\n",
          "line 4: 2 cells, the header has 4"),
-    ], ids=["missing_column", "short_row"])
+        ("person_id,sex,age,eps_weighted\nF_42_221500,F,abc,0.2\n",
+         "persons table line 2: age must be an integer, got 'abc'"),
+        ("# config {}\nperson_id,sex,age,eps_weighted\nF_42_221500,F,42,zz\n",
+         "persons table line 3: eps_weighted must be a number, got 'zz'"),
+        ("person_id,sex,age,eps_weighted\n", "no person rows"),
+    ], ids=["missing_column", "short_row", "bad_age", "bad_eps", "header_only"])
     def test_malformed_table_is_input_error(self, tmp_path, capsys, table, message):
         path = tmp_path / "persons.csv"
         path.write_text(table)
@@ -321,17 +337,20 @@ class TestExitCodes:
     def test_usage_errors(self, tmp_path, capsys):
         path = synth_file(tmp_path)
         cases = [
-            ["analyze", str(path), "--cut", "nope"],
-            ["analyze", str(path), "--cut", "2,2"],  # CLI exposes only 3,3..6,6
-            ["analyze", str(path), "--discretizer", "mono", "--eta1", "0.1"],
-            ["analyze", str(path), "--discretizer", "rapid"],
-            ["analyze", str(path), "--cut", "3,3", "--mode", "med"],
-            ["analyze", str(path), "--h", "-3"],
-            ["analyze", str(path), "--meta-pattern", "(unclosed"],
+            (["--cut", "nope"], "--cut expects I,J (two integers), got 'nope'"),
+            (["--cut", "2,2"], "--cut supports the presets 3,3 4,4 5,5 6,6; got '2,2'"),
+            (["--discretizer", "mono", "--eta1", "0.1"],
+             "--eta1 applies only to the accel discretizer, not mono"),
+            (["--discretizer", "mono", "--eta2", "0.1"],
+             "--eta2 applies only to the rapid discretizer, not mono"),
+            (["--discretizer", "rapid"], "the rapid discretizer requires --eta2"),
+            (["--cut", "3,3", "--mode", "med"], "--cut does not combine with --mode med"),
+            (["--h", "-3"], "--h must be auto, loglog, or a non-negative integer, got '-3'"),
+            (["--meta-pattern", "(unclosed"], "--meta-pattern is not a valid regex: "),
         ]
-        for argv in cases:
-            assert main(argv) == 1, argv
-            assert capsys.readouterr().err
+        for options, message in cases:
+            assert main(["analyze", str(path), *options]) == 1, options
+            assert capsys.readouterr().err.startswith(f"svrand: error: {message}"), options
 
     def test_argparse_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -363,6 +382,13 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    def test_infinite_interval_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "F_20_000000.txt"
+        bad.write_text("header\n1 00:00:00.800 inf N\n")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        assert ("line 2: column 3 (interval): RR interval must be finite, got inf"
+                in capsys.readouterr().err)
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "F_20_000000.txt"
         bad.write_text("header\n1 00:00:01 not-a-number N\n")
@@ -381,3 +407,39 @@ class TestExitCodes:
         monkeypatch.setattr("svrand.cli.run_analysis",
                             lambda config: (_ for _ in ()).throw(RuntimeError("boom")))
         assert main(["analyze", str(path)]) == 3
+
+
+class TestRunConfig:
+    # Library runs get the command line's rules: RunConfig checks itself.
+    @pytest.mark.parametrize("settings,message", [
+        ({"discretizer": "rapid"}, "the rapid discretizer requires --eta2"),
+        ({"discretizer": "bogus"}, "discretizer must be one of accel, rapid, mono, got 'bogus'"),
+        ({"mode": "bogus"}, "mode must be one of full, trim, cut, med, merged, got 'bogus'"),
+        ({"counting": "wrapped"}, "counting must be one of linear, cyclic, got 'wrapped'"),
+        ({"format": "xml"}, "format must be one of csv, json, both, got 'xml'"),
+        ({"cut": (3, 4)}, "--cut supports the presets 3,3 4,4 5,5 6,6; got '3,4'"),
+        ({"cut": (3, 3), "mode": "trim"}, "--cut does not combine with --mode trim"),
+        ({"h": "five"}, "--h must be auto, loglog, or a non-negative integer, got 'five'"),
+        ({"h": 5.5}, "--h must be auto, loglog, or a non-negative integer, got 5.5"),
+        ({"inputs": ()}, "inputs must be a non-empty sequence of file patterns, got ()"),
+        ({"inputs": "a.txt"}, "inputs must be a non-empty sequence of file patterns"),
+    ])
+    def test_rejects_what_the_command_line_rejects(self, settings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{"inputs": ("a.txt",), **settings})
+
+    @pytest.mark.parametrize("settings,normal,tag", [
+        ({}, {"mode": "full", "cut": None, "h": "auto"}, "full"),
+        ({"mode": "cut"}, {"mode": "cut", "cut": (3, 3)}, "cut(3,3)"),
+        ({"cut": [5, 5]}, {"mode": "cut", "cut": (5, 5)}, "cut(5,5)"),
+        ({"mode": "merged", "cut": (4, 4)}, {"cut": (4, 4)}, "merged+cut(4,4)"),
+        ({"h": "05"}, {"h": "5"}, "full"),
+        ({"h": 7}, {"h": "7"}, "full"),
+        ({"discretizer": "mono", "eta1": 0.0}, {"eta1": 0.0}, "full"),
+        ({"inputs": ["a.txt"]}, {"inputs": ("a.txt",)}, "full"),
+    ])
+    def test_normalises_once(self, settings, normal, tag):
+        config = RunConfig(**{"inputs": ("a.txt",), **settings})
+        assert {name: getattr(config, name) for name in normal} == normal
+        assert config.tag == tag
+        assert RunConfig(**asdict(config)) == config

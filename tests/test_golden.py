@@ -5,11 +5,13 @@ the configuration embedded in the reports does not depend on where the
 repository lives.  The expected files sit in `tests/data/golden/<variant>/`.
 """
 
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from svrand.cli import main
+from svrand.cli import RunConfig, _resolve_config, build_parser, main
 from svrand.ingest import (NOCTURNAL_MIN_RECORDS, edit_perturbations, extract_nocturnal,
                            parse_holter)
 
@@ -51,6 +53,16 @@ def test_reports_match_golden(variant, tmp_path, monkeypatch, capsys):
     assert main(VARIANTS[variant] + ["--out", str(tmp_path)]) == 0
     for name in REPORTS:
         assert (tmp_path / name).read_bytes() == (GOLDEN / variant / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_config_round_trips(variant):
+    # A variant's RunConfig is the config its reports record, and rebuilding
+    # it from those fields changes nothing.
+    config = _resolve_config(build_parser().parse_args(VARIANTS[variant]))
+    assert RunConfig(**asdict(config)) == config
+    recorded = json.loads((GOLDEN / variant / "report.json").read_text())["config"]
+    assert json.loads(json.dumps(asdict(config))) == recorded
 
 
 def test_stats_matches_golden(tmp_path, monkeypatch, capsys):

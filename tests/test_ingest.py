@@ -92,6 +92,23 @@ class TestParseHolter:
         with pytest.raises(ValueError, match="NUL"):
             RRRecord(1, 0.0, 1.0, "N\x00")
 
+    @pytest.mark.parametrize("annotation", ["A B", "N\t", "\x1cN", "N\xa0"])
+    def test_record_rejects_whitespace_in_annotation(self, annotation):
+        # The writer would emit a fifth column, or a separator, into the row.
+        with pytest.raises(ValueError, match="whitespace"):
+            RRRecord(1, 0.0, 0.8, annotation)
+
+    @pytest.mark.parametrize("header", ["a\nb", "a\r", "a\x0cb", "\n"])
+    def test_series_rejects_header_of_many_lines(self, header):
+        with pytest.raises(ValueError, match="one line"):
+            RRSeries((RRRecord(1, 0.0, 0.8, "N"),), header=header)
+
+    @pytest.mark.filterwarnings("ignore:file name")
+    @pytest.mark.parametrize("header", ["", "index time interval annotation", "a\x00b"])
+    def test_one_line_header_round_trips(self, header):
+        series = RRSeries((RRRecord(1, 0.0, 0.8, "N"),), header=header)
+        assert parse_holter(io.StringIO(serialized(series)))[1] == series
+
     @pytest.mark.filterwarnings("ignore:file name")
     def test_round_trip_fixed_point(self, tmp_path):
         path = tmp_path / "F_63_221500.txt"
