@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
 __all__ = [
     "BitSequence",
+    "COUNTINGS",
     "CountTable",
     "count_substrings",
     "count_substrings_fast",
@@ -30,25 +31,27 @@ _BLOCK = 1 << 16
 
 _VALID_BITS = frozenset("01")
 
+COUNTINGS = ("linear", "cyclic")  # counting stops at the end, or wraps to the start
+
 
 class BitSequence:
     """Immutable sequence of 0/1 symbols.
 
-    Built from a string of '0' and '1', or from an iterable that `from_array`
-    accepts as a list.  Stored as a read-only uint8 array of 0s and 1s; the
-    text form is derived on demand.
+    `BitSequence(text)` reads a string of '0' and '1'; `from_array` takes an
+    array or a list of 0/1 values.  Stored as a read-only uint8 array of 0s
+    and 1s; the text form, `str(seq)`, is derived on demand.
     """
 
     __slots__ = ("_arr",)
 
-    def __init__(self, bits: str | Iterable[int] = ""):
-        if isinstance(bits, str):
-            arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-            if (arr > 1).any():
-                bad = sorted(set(bits) - _VALID_BITS)
-                raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
-        else:
-            arr = BitSequence.from_array(list(bits))._arr
+    def __init__(self, bits: str = ""):
+        if not isinstance(bits, str):
+            raise TypeError(f"BitSequence reads a str of 0s and 1s, got "
+                            f"{type(bits).__name__}; use BitSequence.from_array")
+        arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        if (arr > 1).any():
+            bad = sorted(set(bits) - _VALID_BITS)
+            raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
         arr.flags.writeable = False
         self._arr = arr
 
@@ -62,16 +65,12 @@ class BitSequence:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitSequence":
-        """Build from a 1-D array of 0/1 values of any numeric or bool type."""
+        """Build from a 1-D array or list of 0/1 values of any numeric or bool type."""
         arr = np.asarray(arr)
         bits = arr.astype(np.uint8)
         if arr.ndim != 1 or (bits > 1).any() or (bits != arr).any():
             raise ValueError("bits must be a 1-D array of 0s and 1s")
         return cls._wrap(bits)
-
-    @property
-    def bits(self) -> str:
-        return (self._arr + ord("0")).tobytes().decode("ascii")
 
     def to_array(self) -> np.ndarray:
         """Return the bits as a read-only uint8 array of 0s and 1s."""
@@ -88,9 +87,6 @@ class BitSequence:
             return BitSequence._wrap(self._arr[idx])
         return int(self._arr[idx])
 
-    def __add__(self, other: "BitSequence") -> "BitSequence":
-        return BitSequence._wrap(np.concatenate([self._arr, other._arr]))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BitSequence) and np.array_equal(self._arr, other._arr)
 
@@ -98,12 +94,12 @@ class BitSequence:
         return hash(self._arr.tobytes())
 
     def __str__(self) -> str:
-        return self.bits
+        return (self._arr + ord("0")).tobytes().decode("ascii")
 
     def __repr__(self) -> str:
         if len(self) <= 32:
-            return f"BitSequence({self.bits!r})"
-        return f"BitSequence({self[:29].bits!r}..., len={len(self)})"
+            return f"BitSequence({str(self)!r})"
+        return f"BitSequence({str(self[:29])!r}..., len={len(self)})"
 
 
 class CountTable:
@@ -119,8 +115,8 @@ class CountTable:
 
     def __init__(self, max_len: int, mode: str, source_len: int,
                  levels: list[np.ndarray]):
-        if mode not in ("linear", "cyclic"):
-            raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
+        if mode not in COUNTINGS:
+            raise ValueError(f"mode must be one of {', '.join(COUNTINGS)}, got {mode!r}")
         if len(levels) != max_len:
             raise ValueError("one counts array per pattern length expected")
         for h, lvl in enumerate(levels, start=1):
@@ -159,7 +155,9 @@ class CountTable:
                 f"source_len={self.source_len})")
 
 
-def _check_max_len(max_len: int) -> None:
+def _check_count_args(max_len: int, mode: str) -> None:
+    if mode not in COUNTINGS:
+        raise ValueError(f"mode must be one of {', '.join(COUNTINGS)}, got {mode!r}")
     if max_len < 1:
         raise ValueError(f"pattern length bound must be >= 1, got {max_len}")
     if (1 << (max_len + 1)) > MAX_TABLE_ENTRIES:
@@ -174,10 +172,8 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
     Straightforward reference counter: for each length, slide a window over
     the text (extended by a wrapped prefix in cyclic mode) and tally slices.
     """
-    if mode not in ("linear", "cyclic"):
-        raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
-    _check_max_len(max_len)
-    text = s.bits
+    _check_count_args(max_len, mode)
+    text = str(s)
     n = len(text)
     levels = []
     for h in range(1, max_len + 1):
@@ -200,7 +196,7 @@ def _window_values(bits: np.ndarray, length: int) -> np.ndarray:
     joined from the power-of-two windows its binary form names.
     """
     windows = bits.size - length + 1
-    # _check_max_len keeps lengths below 32 bits.
+    # _check_count_args keeps lengths below 32 bits.
     pow_win = bits.astype(np.uint32)  # windows of length `width`
     vals = np.zeros(windows, dtype=np.uint32)
     width, covered = 1, 0
@@ -232,9 +228,7 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     added back.  Cyclic mode counts the sequence with its first L - 1 bits
     appended, so no window is missed; it needs L <= n.
     """
-    if mode not in ("linear", "cyclic"):
-        raise ValueError(f"mode must be 'linear' or 'cyclic', got {mode!r}")
-    _check_max_len(max_len)
+    _check_count_args(max_len, mode)
     bits = s.to_array()
     n = bits.size
     if mode == "cyclic":

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from svrand.bitseq import BitSequence, debruijn
+from svrand.bitseq import COUNTINGS, BitSequence, debruijn
 from svrand.cohort import CohortStats, PersonResult, bucket, merge_persons, trim_to_min
 from svrand.estimator import epsilon_profile, loglog_history, weighted_epsilon
 from svrand.ingest import (DEFAULT_META_PATTERN, HolterFormatError, PersonMeta,
@@ -44,7 +44,6 @@ class UsageError(Exception):
 
 
 DISCRETIZERS = ("accel", "rapid", "mono")
-COUNTINGS = ("linear", "cyclic")
 MODES = ("full", "trim", "cut", "med", "merged")
 FORMATS = ("csv", "json", "both")
 # cut_trends accepts any run lengths; a run uses only these symmetric presets.
@@ -133,18 +132,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
-    """Files matched by the patterns, in order; a file matched twice counts once.
+    """Files named by the patterns, in order; a file named twice counts once.
 
-    Two different files with the same person id (file stem) are an input
-    error, so that no person is counted twice.
+    A pattern naming an existing path is that path; any other is a glob.
+    Two files with the same person id (file stem) are an input error, so
+    that no person is counted twice.
     """
     paths: dict[Path, str] = {}
     for pattern in patterns:
-        hits = sorted(globlib.glob(pattern))
+        hits = [pattern] if Path(pattern).exists() else sorted(globlib.glob(pattern))
         if not hits:
-            if not Path(pattern).exists():
-                raise FileNotFoundError(f"no input matches {pattern!r}")
-            hits = [pattern]
+            raise FileNotFoundError(f"no input matches {pattern!r}")
         for hit in hits:
             paths.setdefault(Path(hit).resolve(), hit)
     by_id: dict[str, str] = {}

@@ -43,9 +43,7 @@ def max_history(n: int) -> int:
 
 def loglog_history(n: int) -> int:
     """Conservative history bound floor(log2(floor(log2 n))), the CLI 'loglog' preset."""
-    if n < 2:
-        raise ValueError(f"sequence length must be >= 2, got {n}")
-    return (n.bit_length() - 1).bit_length() - 1
+    return (max_history(n) + 1).bit_length() - 1  # max_history(n) + 1 = floor(log2 n)
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,6 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
     override is recorded on the profile.
     """
     n = len(s)
-    if n < 2:
-        raise ValueError(f"need at least 2 bits to estimate, got {n}")
     bound = max_history(n)
     requested = bound if max_h is None else max_h
     if requested < 0:

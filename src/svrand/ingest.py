@@ -183,6 +183,11 @@ class PersonMeta:
     age: int | None = None
     start_time: float | None = None
 
+    def __post_init__(self):
+        # One to three digits, as DEFAULT_META_PATTERN reads them.
+        if self.age is not None and not 0 <= self.age <= 999:
+            raise ValueError(f"age must be in 0..999, got {self.age}")
+
 
 def _parse_clock(text: str) -> float:
     """HH:MM:SS(.mmm) or raw seconds, to seconds since midnight.
@@ -329,9 +334,11 @@ def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMet
     if start is not None:
         start_time = (int(start[0:2]) * 3600.0 + int(start[2:4]) * 60.0
                       + int(start[4:6]))
-    age = int(groups["age"]) if groups.get("age") is not None else None
-    return PersonMeta(id=stem, sex=groups.get("sex"), age=age,
-                      start_time=start_time)
+    try:
+        age = int(groups["age"]) if groups.get("age") is not None else None
+        return PersonMeta(id=stem, sex=groups.get("sex"), age=age, start_time=start_time)
+    except ValueError as exc:
+        raise HolterFormatError(f"{name!r}: {exc}") from None
 
 
 def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN

@@ -22,7 +22,6 @@ __all__ = [
     "render_persons_csv",
     "render_cohorts_csv",
     "render_json",
-    "read_persons_csv",
     "read_stats_people",
 ]
 
@@ -100,10 +99,19 @@ def render_json(results: Sequence[PersonResult], stats: Sequence[CohortStats],
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _rows(text: str):
-    """(line number, dict of cells) of each row of a persons CSV, after the
-    leading config comment lines; a header without one of the STATS_COLUMNS,
-    or a row whose number of cells differs from the header's, is a ValueError."""
+def _number(kind, row: dict, name: str):
+    """A cell as an int or a float; the empty cell is None."""
+    try:
+        return kind(row[name]) if row[name] else None
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {row[name]!r}") from None
+
+
+def read_stats_people(text: str) -> list[tuple[PersonMeta, float | None]]:
+    """Each person's identity and weighted epsilon, from the STATS_COLUMNS of a
+    persons CSV.  A missing column, or a row that does not fit the header,
+    `PersonMeta` or a number, is a ValueError; a row's names its line."""
     lines = list(io.StringIO(text, newline=""))  # a quoted cell may hold a line break
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     reader = csv.reader(lines[skip:])
@@ -111,32 +119,16 @@ def _rows(text: str):
     missing = [name for name in STATS_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"persons table lacks the column(s) {', '.join(missing)}")
+    people = []
     for cells in filter(None, reader):  # blank lines hold no row
+        where = f"persons table line {skip + reader.line_num}"
         if len(cells) != len(header):
-            raise ValueError(f"persons table line {skip + reader.line_num}: "
-                             f"{len(cells)} cells, the header has {len(header)}")
-        yield skip + reader.line_num, dict(zip(header, cells))
-
-
-def read_persons_csv(text: str) -> list[dict]:
-    """Rows of a persons CSV as dicts of cells; see `_rows` for the checks."""
-    return [row for _, row in _rows(text)]
-
-
-def _number(kind, line: int, row: dict, name: str):
-    """A cell as an int or a float; the empty cell is None."""
-    try:
-        return kind(row[name]) if row[name] else None
-    except ValueError:
-        raise ValueError(f"persons table line {line}: {name} must be "
-                         f"{'an integer' if kind is int else 'a number'}, "
-                         f"got {row[name]!r}") from None
-
-
-def read_stats_people(text: str) -> list[tuple[PersonMeta, float | None]]:
-    """The STATS_COLUMNS of a persons CSV: each person's identity and weighted
-    epsilon.  A cell that is not a number is a ValueError naming its line."""
-    return [(PersonMeta(id=row["person_id"], sex=row["sex"] or None,
-                        age=_number(int, line, row, "age")),
-             _number(float, line, row, "eps_weighted"))
-            for line, row in _rows(text)]
+            raise ValueError(f"{where}: {len(cells)} cells, the header has {len(header)}")
+        row = dict(zip(header, cells))
+        try:
+            people.append((PersonMeta(id=row["person_id"], sex=row["sex"] or None,
+                                      age=_number(int, row, "age")),
+                           _number(float, row, "eps_weighted")))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return people

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from svrand.bitseq import BitSequence
-from svrand.ingest import NORMAL_ANNOTATION, RRSeries
+from svrand.ingest import _MS_PER_DAY, NORMAL_ANNOTATION, RRSeries
 
 __all__ = ["SourceSpec", "biased_coin", "synthetic_rr"]
-
-_MS_PER_DAY = 86_400_000
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,15 @@
+import csv
+import io
+
 import pytest
 
 from svrand.ingest import RRRecord, RRSeries
+
+
+def read_rows(text):
+    """The rows of a rendered CSV report as dicts of cells, after its config line."""
+    _, table = text.split("\n", 1)
+    return list(csv.DictReader(io.StringIO(table, newline="")))
 
 
 @pytest.fixture

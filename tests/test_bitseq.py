@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from svrand import bitseq
 from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
+from svrand.cohort import merge_persons
 
 
 def random_bits(rng, n):
@@ -45,14 +46,14 @@ class TestBitSequence:
             BitSequence("0102")
 
     def test_from_ints_and_indexing(self):
-        s = BitSequence([1, 0, 1, 1])
+        s = BitSequence.from_array([1, 0, 1, 1])
         assert str(s) == "1011"
         assert s[0] == 1 and s[1] == 0
         assert s[1:3] == BitSequence("01")
         assert len(s) == 4
 
     def test_concat_and_array_round_trip(self):
-        s = BitSequence("01") + BitSequence("10")
+        s = merge_persons([BitSequence("01"), BitSequence("10")])
         assert str(s) == "0110"
         assert BitSequence.from_array(s.to_array()) == s
         for dtype in (np.uint8, np.int64, bool):
@@ -67,12 +68,16 @@ class TestBitSequence:
     @pytest.mark.parametrize("bits", [[2, 0, -1, 0.5], [2], [-1], [0.5], [[0, 1]]])
     def test_iterable_takes_the_array_rule(self, bits):
         with pytest.raises(ValueError, match="0s and 1s"):
-            BitSequence(bits)
+            BitSequence.from_array(bits)
 
     def test_iterable_of_bools_and_ints(self):
-        assert BitSequence([True, False, 1, 0]) == BitSequence("1010")
-        assert BitSequence(iter([0, 1])) == BitSequence("01")
-        assert BitSequence([]) == BitSequence("")
+        assert BitSequence.from_array([True, False, 1, 0]) == BitSequence("1010")
+        assert BitSequence.from_array([]) == BitSequence("")
+
+    @pytest.mark.parametrize("bits", [[0, 1], iter([0, 1]), np.array([0, 1]), b"01"])
+    def test_constructor_reads_only_text(self, bits):
+        with pytest.raises(TypeError, match="BitSequence.from_array"):
+            BitSequence(bits)
 
 
 class TestCountSubstrings:
@@ -111,7 +116,7 @@ class TestCountSubstrings:
             for value in range(1 << length):
                 w = format(value, f"0{length}b")
                 assert (table.count("0" + w) + table.count("1" + w)
-                        + s.bits.startswith(w)) == table.count(w)
+                        + str(s).startswith(w)) == table.count(w)
 
     def test_rejects_bad_args(self):
         s = BitSequence("01")

@@ -5,11 +5,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from conftest import read_rows
 
 from svrand.cli import RunConfig, main
 from svrand.estimator import epsilon_profile, weighted_epsilon
 from svrand.ingest import edit_perturbations, extract_nocturnal, filter_normal, parse_holter
-from svrand.report import fmt6, read_persons_csv
+from svrand.report import fmt6
 from svrand.synth import SourceSpec, synthetic_rr
 from svrand.transform import discretize_accel
 
@@ -59,7 +60,7 @@ class TestAnalyzeCommand:
         path = synth_file(tmp_path)
         out = tmp_path / "rep"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         _, series = parse_holter(path)
         profile = epsilon_profile(discretize_accel(filter_normal(series)))
         assert row["eps_0"] == fmt6(profile.epsilons[0])
@@ -82,8 +83,8 @@ class TestAnalyzeCommand:
         plain, cut = tmp_path / "plain", tmp_path / "cut"
         assert main(["analyze", str(path), "--out", str(plain)]) == 0
         assert main(["analyze", str(path), "--cut", "3,3", "--out", str(cut)]) == 0
-        (row_plain,) = read_persons_csv((plain / "persons.csv").read_text())
-        (row_cut,) = read_persons_csv((cut / "persons.csv").read_text())
+        (row_plain,) = read_rows((plain / "persons.csv").read_text())
+        (row_cut,) = read_rows((cut / "persons.csv").read_text())
         assert float(row_cut["eps_weighted"]) < float(row_plain["eps_weighted"])
         assert row_cut["mode"] == "cut(3,3)"
 
@@ -93,7 +94,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(path), "--h", "40", "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "floor(log2 n) - 1 = 8" in err and "clamped" in err
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert int(row["H"]) == 8
 
     def test_force_h_overrides_bound(self, tmp_path, capsys):
@@ -101,7 +102,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep"
         assert main(["analyze", str(path), "--h", "12", "--force-h",
                      "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert int(row["H"]) == 12
         doc = json.loads((out / "report.json").read_text())
         assert doc["persons"][0]["h_forced"] is True
@@ -110,10 +111,10 @@ class TestAnalyzeCommand:
         path = synth_file(tmp_path)
         out = tmp_path / "rep"
         assert main(["analyze", str(path), "--h", "3", "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert int(row["H"]) == 3 and row["eps_weighted"] != ""
         assert main(["analyze", str(path), "--h", "loglog", "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert int(row["H"]) == 3  # floor(log2 floor(log2 1999))
 
     def test_h_spellings_write_identical_reports(self, tmp_path, capsys):
@@ -131,7 +132,7 @@ class TestAnalyzeCommand:
         path = synth_file(tmp_path, name="M_55_230000.txt", n=28000, seed=3)
         out = tmp_path / "rep"
         assert main(["analyze", str(path), "--mode", "med", "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         _, series = parse_holter(path)
         series = filter_normal(edit_perturbations(extract_nocturnal(series)))
         profile = epsilon_profile(discretize_accel(series))
@@ -145,7 +146,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep"
         assert main(["analyze", str(a), str(b), "--mode", "trim",
                      "--out", str(out)]) == 0
-        rows = read_persons_csv((out / "persons.csv").read_text())
+        rows = read_rows((out / "persons.csv").read_text())
         assert [int(r["n_bits"]) for r in rows] == [1199, 1199]
         assert {r["mode"] for r in rows} == {"trim"}
 
@@ -228,17 +229,44 @@ class TestAnalyzeCommand:
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["discretizer"] == "accel"
         assert doc["config"]["inputs"] == [str(path)]
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert fmt6(doc["persons"][0]["eps_weighted"]) == row["eps_weighted"]
 
     def test_literal_path_with_glob_characters(self, tmp_path, capsys):
-        # The pattern matches no file, so the path is taken as it is written.
+        # The pattern names an existing file, so the path is taken as it is written.
         path = tmp_path / "F_42_[1].txt"
         shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
         out = tmp_path / "rep"
         assert main(["analyze", str(path), "--out", str(out), "--format", "json"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert [p["person_id"] for p in doc["persons"]] == ["F_42_[1]"]
+
+    def test_literal_path_wins_over_glob_match(self, tmp_path, capsys):
+        # As a glob, F_42_[1].txt would match F_42_1.txt (100 lines) instead.
+        fixture = Path(__file__).parent / "data" / "F_42_221500.txt"
+        shutil.copy(fixture, tmp_path / "F_42_[1].txt")
+        head = fixture.read_text().splitlines(keepends=True)[:100]
+        (tmp_path / "F_42_1.txt").write_text("".join(head))
+        out = tmp_path / "rep"
+        assert main(["analyze", str(tmp_path / "F_42_[1].txt"), "--out", str(out),
+                     "--format", "json"]) == 0
+        (person,) = json.loads((out / "report.json").read_text())["persons"]
+        assert person["person_id"] == "F_42_[1]"
+        golden = Path(__file__).parent / "data" / "golden" / "default" / "report.json"
+        assert person["n_bits"] == json.loads(golden.read_text())["persons"][0]["n_bits"]
+
+    @pytest.mark.parametrize("name,message", [
+        ("F_1000_221500.txt", "age must be in 0..999, got 1000"),
+        ("F_-5_221500.txt", "age must be in 0..999, got -5"),
+        ("F_x_221500.txt", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["age_1000", "age_negative", "age_not_integer"])
+    def test_bad_age_in_file_name_is_input_error(self, tmp_path, capsys, name, message):
+        path = tmp_path / name
+        shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "rep"),
+                     "--meta-pattern", r"(?P<sex>[FM])_(?P<age>[^_]+)_"]) == 2
+        assert f"{str(path)!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_carriage_return_in_file_name_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "F_42\r_221500.txt"
@@ -254,7 +282,7 @@ class TestMergeCommand:
         b = synth_file(tmp_path, name="M_40_010000.txt", n=700, seed=2)
         out = tmp_path / "rep"
         assert main(["merge", str(a), str(b), "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert row["person_id"] == "merged(2)"
         assert int(row["n_bits"]) == 799 + 699
         assert row["mode"] == "merged"
@@ -263,7 +291,7 @@ class TestMergeCommand:
         a = synth_file(tmp_path, name="F_30_010000.txt", n=800, seed=1)
         out = tmp_path / "rep"
         assert main(["merge", str(a), "--cut", "3,3", "--out", str(out)]) == 0
-        (row,) = read_persons_csv((out / "persons.csv").read_text())
+        (row,) = read_rows((out / "persons.csv").read_text())
         assert row["mode"] == "merged+cut(3,3)"
 
 
@@ -289,7 +317,12 @@ class TestStatsCommand:
         ("# config {}\nperson_id,sex,age,eps_weighted\nF_42_221500,F,42,zz\n",
          "persons table line 3: eps_weighted must be a number, got 'zz'"),
         ("person_id,sex,age,eps_weighted\n", "no person rows"),
-    ], ids=["missing_column", "short_row", "bad_age", "bad_eps", "header_only"])
+        ("person_id,sex,age,eps_weighted\nF_42_221500,F,42,0.2\nM_x,M,1000,0.2\n",
+         "persons table line 3: age must be in 0..999, got 1000"),
+        ("# config {}\nperson_id,sex,age,eps_weighted\nF_x,F,-5,0.2\n",
+         "persons table line 3: age must be in 0..999, got -5"),
+    ], ids=["missing_column", "short_row", "bad_age", "bad_eps", "header_only",
+            "age_1000", "age_negative"])
     def test_malformed_table_is_input_error(self, tmp_path, capsys, table, message):
         path = tmp_path / "persons.csv"
         path.write_text(table)
@@ -303,6 +336,13 @@ class TestStatsCommand:
                         "F_42_221500,F,42,full,100,1,0.7\n")
         assert main(["stats", str(path), "--out", str(tmp_path / "stats")]) == 2
         assert "weighted epsilon outside [0, 1/2]: 0.7" in capsys.readouterr().err
+
+    def test_ages_zero_and_999_are_cohorts(self, tmp_path, capsys):
+        path = tmp_path / "persons.csv"
+        path.write_text("person_id,sex,age,eps_weighted\na,F,0,0.2\nb,M,999,0.3\n")
+        assert main(["stats", str(path), "--out", str(tmp_path / "stats")]) == 0
+        doc = json.loads((tmp_path / "stats" / "cohorts.json").read_text())
+        assert [(c["sex"], c["decade"]) for c in doc["cohorts"]] == [("F", 0), ("M", 990)]
 
     def test_reads_only_identity_and_weighted_epsilon(self, tmp_path, capsys):
         path = tmp_path / "persons.csv"

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,26 @@ class TestQuartiles:
         q = quartiles(values)
         assert q[0] <= q[1] <= q[2] <= q[3] <= q[4]
         assert q[0] == min(values) and q[4] == max(values)
+
+    def test_commands_never_load_numpy_ma(self, tmp_path):
+        # quartiles stands in for np.percentile, which imports numpy.ma: 10-30
+        # ms on every analyze and stats run, against about 8 ms for svrand's
+        # own import.  Runs in a subprocess, where no other test loaded it.
+        root = Path(__file__).resolve().parents[1]
+        script = "\n".join([
+            "import sys",
+            "src, recording, out = sys.argv[1:]",
+            "sys.path.insert(0, src)",
+            "from svrand.cli import main",
+            "assert main(['analyze', recording, '--out', out]) == 0",
+            "assert main(['stats', f'{out}/persons.csv', '--out', f'{out}/stats']) == 0",
+            "print('numpy.ma' in sys.modules)"])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(root / "src"),
+             str(root / "tests" / "data" / "F_42_221500.txt"), str(tmp_path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     # Signed zeros are drawn often: sorting would order tied 0.0 and -0.0
     # differently from numpy's partition.  The mean of values near the float

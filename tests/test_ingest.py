@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from svrand.ingest import (NOCTURNAL_MIN_RECORDS, HolterFormatError, RRRecord, RRSeries,
-                           edit_perturbations, extract_nocturnal, filter_normal,
+from svrand.ingest import (NOCTURNAL_MIN_RECORDS, HolterFormatError, PersonMeta, RRRecord,
+                           RRSeries, edit_perturbations, extract_nocturnal, filter_normal,
                            parse_holter, write_holter)
 
 
@@ -41,6 +41,12 @@ class TestParseHolter:
         assert meta.sex == "F"
         assert meta.age == 63
         assert meta.start_time == 22 * 3600 + 15 * 60
+
+    @pytest.mark.parametrize("age", [-1, 1000])
+    def test_age_has_one_to_three_digits(self, age):
+        assert [PersonMeta(id="a", age=a).age for a in (0, 999)] == [0, 999]
+        with pytest.raises(ValueError, match=f"age must be in 0..999, got {age}"):
+            PersonMeta(id="a", age=age)
 
     def test_unmatched_filename_warns_but_parses(self, tmp_path):
         path = tmp_path / "subject-a.txt"

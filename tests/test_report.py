@@ -4,13 +4,14 @@ import csv
 import io
 import json
 
+from conftest import read_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrand.cohort import PersonResult
 from svrand.estimator import EpsilonProfile, max_history
 from svrand.ingest import PersonMeta
-from svrand.report import fmt6, read_persons_csv, render_json, render_persons_csv
+from svrand.report import fmt6, render_json, render_persons_csv
 
 CONFIG = {"inputs": ["x"], "mode": "full"}
 
@@ -64,7 +65,7 @@ def test_csv_cells_match_json_values(people):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(results(), min_size=1, max_size=5))
 def test_read_back_identity(people):
-    rows = read_persons_csv(render_persons_csv(people, CONFIG))
+    rows = read_rows(render_persons_csv(people, CONFIG))
     assert [(row["person_id"], row["sex"], row["age"]) for row in rows] == [
         (r.meta.id, r.meta.sex or "", "" if r.meta.age is None else str(r.meta.age))
         for r in people]

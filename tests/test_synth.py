@@ -11,13 +11,13 @@ class TestBiasedCoin:
 
     def test_fair_coin_frequency(self):
         bits = biased_coin(10 ** 6, 0.0, seed=123)
-        zeros = bits.bits.count("0") / len(bits)
+        zeros = str(bits).count("0") / len(bits)
         assert abs(zeros - 0.5) <= 0.005
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.25])
     def test_bias_frequency(self, epsilon):
         bits = biased_coin(10 ** 6, epsilon, seed=99)
-        zeros = bits.bits.count("0") / len(bits)
+        zeros = str(bits).count("0") / len(bits)
         assert abs(zeros - (0.5 + epsilon)) <= 0.005
 
     def test_seed_determinism(self):
