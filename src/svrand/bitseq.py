@@ -38,7 +38,7 @@ class BitSequence:
     """Immutable sequence of 0/1 symbols.
 
     `BitSequence(text)` reads a string of '0' and '1'; `from_array` takes an
-    array or a list of 0/1 values.  Stored as a read-only uint8 array of 0s
+    array or any iterable of 0/1 values.  Stored as a read-only uint8 array of 0s
     and 1s; the text form, `str(seq)`, is derived on demand.
     """
 
@@ -64,9 +64,9 @@ class BitSequence:
         return seq
 
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BitSequence":
-        """Build from a 1-D array or list of 0/1 values of any numeric or bool type."""
-        arr = np.asarray(arr)
+    def from_array(cls, arr) -> "BitSequence":
+        """Build from a 1-D array or iterable of 0/1 values of any numeric or bool type."""
+        arr = np.asarray(arr if isinstance(arr, np.ndarray) else list(arr))
         bits = arr.astype(np.uint8)
         if arr.ndim != 1 or (bits > 1).any() or (bits != arr).any():
             raise ValueError("bits must be a 1-D array of 0s and 1s")

@@ -329,14 +329,12 @@ def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMet
                       f"sex/age/start time unknown")
         return PersonMeta(id=stem)
     groups = match.groupdict()
-    start = groups.get("start")
-    start_time = None
-    if start is not None:
-        start_time = (int(start[0:2]) * 3600.0 + int(start[2:4]) * 60.0
-                      + int(start[4:6]))
+    start, age = groups.get("start"), groups.get("age")
     try:
-        age = int(groups["age"]) if groups.get("age") is not None else None
-        return PersonMeta(id=stem, sex=groups.get("sex"), age=age, start_time=start_time)
+        start_time = None if start is None else (
+            int(start[0:2]) * 3600.0 + int(start[2:4]) * 60.0 + int(start[4:6]))
+        return PersonMeta(id=stem, sex=groups.get("sex"), start_time=start_time,
+                          age=None if age is None else int(age))
     except ValueError as exc:
         raise HolterFormatError(f"{name!r}: {exc}") from None
 

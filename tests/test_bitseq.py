@@ -72,6 +72,7 @@ class TestBitSequence:
 
     def test_iterable_of_bools_and_ints(self):
         assert BitSequence.from_array([True, False, 1, 0]) == BitSequence("1010")
+        assert BitSequence.from_array(iter([0, 1])) == BitSequence("01")
         assert BitSequence.from_array([]) == BitSequence("")
 
     @pytest.mark.parametrize("bits", [[0, 1], iter([0, 1]), np.array([0, 1]), b"01"])

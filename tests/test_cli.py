@@ -233,38 +233,32 @@ class TestAnalyzeCommand:
         assert fmt6(doc["persons"][0]["eps_weighted"]) == row["eps_weighted"]
 
     def test_literal_path_with_glob_characters(self, tmp_path, capsys):
-        # The pattern names an existing file, so the path is taken as it is written.
-        path = tmp_path / "F_42_[1].txt"
-        shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
-        out = tmp_path / "rep"
-        assert main(["analyze", str(path), "--out", str(out), "--format", "json"]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert [p["person_id"] for p in doc["persons"]] == ["F_42_[1]"]
-
-    def test_literal_path_wins_over_glob_match(self, tmp_path, capsys):
-        # As a glob, F_42_[1].txt would match F_42_1.txt (100 lines) instead.
+        # The pattern names an existing file, so the path is taken as it is
+        # written; as a glob, F_42_[1].txt would match F_42_1.txt (100 lines).
         fixture = Path(__file__).parent / "data" / "F_42_221500.txt"
-        shutil.copy(fixture, tmp_path / "F_42_[1].txt")
+        path = tmp_path / "F_42_[1].txt"
+        shutil.copy(fixture, path)
         head = fixture.read_text().splitlines(keepends=True)[:100]
         (tmp_path / "F_42_1.txt").write_text("".join(head))
         out = tmp_path / "rep"
-        assert main(["analyze", str(tmp_path / "F_42_[1].txt"), "--out", str(out),
-                     "--format", "json"]) == 0
+        assert main(["analyze", str(path), "--out", str(out), "--format", "json"]) == 0
         (person,) = json.loads((out / "report.json").read_text())["persons"]
         assert person["person_id"] == "F_42_[1]"
         golden = Path(__file__).parent / "data" / "golden" / "default" / "report.json"
         assert person["n_bits"] == json.loads(golden.read_text())["persons"][0]["n_bits"]
 
-    @pytest.mark.parametrize("name,message", [
-        ("F_1000_221500.txt", "age must be in 0..999, got 1000"),
-        ("F_-5_221500.txt", "age must be in 0..999, got -5"),
-        ("F_x_221500.txt", "invalid literal for int() with base 10: 'x'"),
-    ], ids=["age_1000", "age_negative", "age_not_integer"])
-    def test_bad_age_in_file_name_is_input_error(self, tmp_path, capsys, name, message):
+    @pytest.mark.parametrize("name,group,message", [
+        ("F_1000_221500.txt", "age", "age must be in 0..999, got 1000"),
+        ("F_-5_221500.txt", "age", "age must be in 0..999, got -5"),
+        ("F_x_221500.txt", "age", "invalid literal for int() with base 10: 'x'"),
+        ("F_x_221500.txt", "start", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["age_1000", "age_negative", "age_not_integer", "start_not_integer"])
+    def test_bad_number_in_file_name_is_input_error(self, tmp_path, capsys, name, group,
+                                                 message):
         path = tmp_path / name
         shutil.copy(Path(__file__).parent / "data" / "F_42_221500.txt", path)
         assert main(["analyze", str(path), "--out", str(tmp_path / "rep"),
-                     "--meta-pattern", r"(?P<sex>[FM])_(?P<age>[^_]+)_"]) == 2
+                     "--meta-pattern", rf"(?P<sex>[FM])_(?P<{group}>[^_]+)_"]) == 2
         assert f"{str(path)!r}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
