@@ -90,8 +90,9 @@ class RRRecord:
     def __post_init__(self):
         if not self.interval > 0:
             raise ValueError(f"RR interval must be positive, got {self.interval}")
-        if self.interval == math.inf:
-            raise ValueError("RR interval must be finite, got inf")
+        for name, value in (("RR interval", self.interval), ("time", self.time)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.annotation:
             raise ValueError("annotation must be non-empty")
         if "\x00" in self.annotation:

@@ -110,8 +110,8 @@ def _number(kind, row: dict, name: str):
 
 def read_stats_people(text: str) -> list[tuple[PersonMeta, float | None]]:
     """Each person's identity and weighted epsilon, from the STATS_COLUMNS of a
-    persons CSV.  A missing column, or a row that does not fit the header,
-    `PersonMeta` or a number, is a ValueError; a row's names its line."""
+    persons CSV.  A missing column, or a row that repeats a person_id or does not
+    fit the header, `PersonMeta` or a number, is a ValueError; a row's names its line."""
     lines = list(io.StringIO(text, newline=""))  # a quoted cell may hold a line break
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     reader = csv.reader(lines[skip:])
@@ -119,12 +119,14 @@ def read_stats_people(text: str) -> list[tuple[PersonMeta, float | None]]:
     missing = [name for name in STATS_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"persons table lacks the column(s) {', '.join(missing)}")
-    people = []
+    people, seen = [], {}
     for cells in filter(None, reader):  # blank lines hold no row
         where = f"persons table line {skip + reader.line_num}"
         if len(cells) != len(header):
             raise ValueError(f"{where}: {len(cells)} cells, the header has {len(header)}")
         row = dict(zip(header, cells))
+        if (first := seen.setdefault(row["person_id"], reader.line_num)) != reader.line_num:
+            raise ValueError(f"{where}: person id {row['person_id']!r} repeats line {skip + first}")
         try:
             people.append((PersonMeta(id=row["person_id"], sex=row["sex"] or None,
                                       age=_number(int, row, "age")),

@@ -73,23 +73,19 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     fails.  The scan only moves forward over original positions, so bits
     brought together by a deletion never form a new run within the pass.
     The output is a subsequence of the input.
+
+    A search lands on the head of the next run of its bit that is at least
+    a window long.  So the pass cuts a window from each such run whose bit
+    differs from the previous such run's, taking a 0 before the first.
     """
-    text = s.to_array().tobytes()
-    ones = b"\x01" * pattern.accel
-    zeros = b"\x00" * pattern.decel
-    kept: list[bytes] = []
-    pos = 0
-    prev_end = 0
-    while True:
-        start = text.find(ones, pos)
-        if start < 0:
-            break
-        kept.append(text[prev_end:start])
-        pos = prev_end = start + pattern.accel
-        start = text.find(zeros, pos)
-        if start < 0:
-            break
-        kept.append(text[prev_end:start])
-        pos = prev_end = start + pattern.decel
-    kept.append(text[prev_end:])
-    return BitSequence._wrap(np.frombuffer(b"".join(kept), dtype=np.uint8))
+    a = s.to_array().view(bool)  # the bits are 0s and 1s
+    idx = np.int32 if a.size < 2**31 else np.int64
+    starts = np.flatnonzero(np.diff(a, prepend=~a[:1])).astype(idx)
+    ones, lengths = a[starts], np.diff(starts, append=idx(a.size))
+    qual = np.flatnonzero(np.where(ones, lengths >= pattern.accel, lengths >= pattern.decel))
+    cut = qual[np.diff(ones[qual], prepend=False)]
+    starts, ones = starts[cut], ones[cut]
+    marks = np.zeros(a.size + 1, dtype=np.int8)  # windows never overlap: sums are 0 or 1
+    marks[starts] = 1
+    marks[starts + np.where(ones, pattern.accel, pattern.decel)] -= 1
+    return BitSequence._wrap(a[np.cumsum(marks[:-1], dtype=np.int8) == 0].view(np.uint8))

@@ -315,8 +315,11 @@ class TestStatsCommand:
          "persons table line 3: age must be in 0..999, got 1000"),
         ("# config {}\nperson_id,sex,age,eps_weighted\nF_x,F,-5,0.2\n",
          "persons table line 3: age must be in 0..999, got -5"),
+        ("# config {}\nperson_id,sex,age,eps_weighted\nF_42_221500,F,42,0.2\n"
+         "F_42_221500,F,42,0.2\n",
+         "persons table line 4: person id 'F_42_221500' repeats line 3"),
     ], ids=["missing_column", "short_row", "bad_age", "bad_eps", "header_only",
-            "age_1000", "age_negative"])
+            "age_1000", "age_negative", "repeated_person_id"])
     def test_malformed_table_is_input_error(self, tmp_path, capsys, table, message):
         path = tmp_path / "persons.csv"
         path.write_text(table)

@@ -98,6 +98,12 @@ class TestParseHolter:
         with pytest.raises(ValueError, match="NUL"):
             RRRecord(1, 0.0, 1.0, "N\x00")
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_record_rejects_non_finite_time(self, time):
+        # The parser rejects such clocks; written out, NaN would read back as a number.
+        with pytest.raises(ValueError, match="time must be finite"):
+            RRRecord(1, time, 0.8, "N")
+
     @pytest.mark.parametrize("annotation", ["A B", "N\t", "\x1cN", "N\xa0"])
     def test_record_rejects_whitespace_in_annotation(self, annotation):
         # The writer would emit a fifth column, or a separator, into the row.

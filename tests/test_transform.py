@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -173,12 +174,28 @@ class TestCutTrends:
 
     @settings(max_examples=300, deadline=None)
     @given(runs=st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 8)), max_size=40),
-           accel=st.integers(1, 6), decel=st.integers(1, 6))
+           accel=st.integers(1, 8), decel=st.integers(1, 8))
     def test_accounting_property(self, runs, accel, decel):
         text = "".join(bit * length for bit, length in runs)
         out = str(cut_trends(BitSequence(text), TrendCutPattern(accel, decel)))
         assert is_subsequence(out, text)
         # k windows of 1s and m windows of 0s deleted, alternating from a 1-window
-        _, m, dangling = reference_cut(text, accel, decel)
+        kept, m, dangling = reference_cut(text, accel, decel)
+        assert out == kept
         k = m + dangling
         assert len(text) - len(out) == accel * k + decel * m
+
+    @pytest.mark.parametrize("i,j", itertools.product(range(1, 5), repeat=2))
+    def test_every_short_sequence(self, i, j):
+        pattern = TrendCutPattern(i, j)
+        for n in range(13):
+            for bits in itertools.product("01", repeat=n):
+                text = "".join(bits)
+                assert str(cut_trends(BitSequence(text), pattern)) == reference_cut(text, i, j)[0]
+
+    @pytest.mark.parametrize("i,j", [(3, 3), (6, 6)])
+    def test_long_seeded_sequence(self, i, j):
+        rng = random.Random(20)
+        text = "".join(rng.choice("01") for _ in range(200_000))
+        out = cut_trends(BitSequence(text), TrendCutPattern(i, j))
+        assert str(out) == reference_cut(text, i, j)[0]
