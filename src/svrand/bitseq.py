@@ -220,8 +220,9 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     shorter) are counted in blocks of _BLOCK positions, so no array of all n
     window values is ever built.  A block's values come from power-of-two
     windows in uint32 (see _window_values): about log2 L shift/or passes
-    instead of L - 1.  Each length has its own int64 array, zero beyond a
+    instead of L - 1.  Each length has its own uint32 array, zero beyond a
     linear sequence's n; np.add.at adds each block into the length-L one.
+    No count exceeds n, so n must be below 2**32.
     Shorter lengths are filled in place by marginalising away the last bit,
     level[h] = level[h + 1] summed over pattern pairs, which misses only the
     window starting at n - h: in linear mode that window, the last h bits, is
@@ -231,18 +232,21 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     _check_count_args(max_len, mode)
     bits = s.to_array()
     n = bits.size
+    if n >= 1 << 32:
+        raise ValueError(f"uint32 counts need n < 2**32, got n={n}")
     if mode == "cyclic":
         if max_len > n:
             raise ValueError(
                 f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
         bits = np.concatenate([bits, bits[:max_len - 1]])
     top = min(max_len, n)
-    levels = [np.zeros(1 << h, dtype=np.int64) for h in range(1, max_len + 1)]
+    levels = [np.zeros(1 << h, dtype=np.uint32) for h in range(1, max_len + 1)]
     if top:
         windows = bits.size - top + 1
         for start in range(0, windows, _BLOCK):
             vals = _window_values(bits[start:min(start + _BLOCK, windows) + top - 1], top)
-            np.add.at(levels[top - 1], vals, 1)
+            # A Python 1 would leave np.add.at's fast path for uint32.
+            np.add.at(levels[top - 1], vals, np.uint32(1))
         last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
         for h in range(top - 1, 0, -1):
             np.sum(levels[h].reshape(-1, 2), axis=1, out=levels[h - 1])

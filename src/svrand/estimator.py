@@ -9,6 +9,8 @@ whose counts carry little statistical evidence.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -141,8 +143,10 @@ def history_weights(max_h: int) -> np.ndarray:
     """Normalised harmonic weights 1/(h+1) for h = 0..max_h; they sum to 1."""
     if max_h < 0:
         raise ValueError(f"max_h must be >= 0, got {max_h}")
-    raw = 1.0 / np.arange(1, max_h + 2)
-    return raw / raw.sum()
+    raw = np.reciprocal(np.arange(1.0, max_h + 2))
+    # A few dozen terms at most: a plain-float sum costs less than numpy's.
+    raw /= math.fsum(raw.tolist())
+    return raw
 
 
 def weighted_epsilon(profile: EpsilonProfile) -> float:
@@ -153,8 +157,9 @@ def weighted_epsilon(profile: EpsilonProfile) -> float:
     undefined = [h for h, e in enumerate(profile.epsilons) if e is None]
     if undefined:
         raise ValueError(f"profile has undefined epsilons at history lengths {undefined}")
-    weights = history_weights(profile.max_h)
-    eps = np.asarray(profile.epsilons, dtype=float)
-    # A convex combination; rounding in the dot product must not carry it
-    # outside the range of the per-history estimates.
-    return float(np.clip(np.dot(weights, eps), eps.min(), eps.max()))
+    eps = profile.epsilons
+    # On plain floats: a few dozen terms cost less than numpy calls.
+    value = math.fsum(map(operator.mul, history_weights(profile.max_h).tolist(), eps))
+    # A convex combination; rounding in the sum must not carry it outside
+    # the range of the per-history estimates.
+    return float(min(max(value, min(eps)), max(eps)))

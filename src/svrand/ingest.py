@@ -62,9 +62,10 @@ _CLOCK_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1000,
 _CLOCK_RADIX = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
 
 # One row of the table path.  The clock field holds one byte more than the
-# layout, and no annotation may fill its field, so that a cut shows.
+# layout, and no annotation may fill its field, so that a cut shows: a file
+# with an annotation of 8 or more characters goes to the row parser.
 _ROW = np.dtype([("index", np.int64), ("time", "S13"), ("interval", np.float64),
-                 ("annotation", "S16")])
+                 ("annotation", "S8")])
 # The characters np.loadtxt splits as str.splitlines and str.split do.
 _PLAIN = bytes(range(32, 127)) + b"\t\n"
 
@@ -270,6 +271,15 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     except (ValueError, DeprecationWarning):
         return None
 
+    interval = rows["interval"].copy()
+    if not np.all((interval > 0) & (interval < np.inf)):
+        return None
+    width = int(np.char.str_len(rows["annotation"]).max(initial=1))
+    if width >= _ROW["annotation"].itemsize:
+        return None
+    index = rows["index"].copy()
+    annotation = rows["annotation"].astype(f"U{width}")
+
     # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
     # is exact digit arithmetic on the HH:MM:SS.mmm layout; other clocks,
     # such as raw seconds, go through _parse_clock one by one.  A NUL in the
@@ -281,23 +291,17 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     ms = np.zeros(rows.size, dtype=np.int64)
     for column, place in enumerate(_CLOCK_PLACES):
         ms += digits[:, column] * place
-    time = ms / 1000.0
     other = np.flatnonzero(
         np.any(digits > 9, axis=1)
         | np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8), axis=1))
+    # The digits go and `time` reuses the buffer of `ms`: a lower parse peak.
+    del digits
+    time = np.divide(ms, 1000.0, out=ms.view(np.float64))
     try:
         time[other] = [_parse_clock(cell.decode()) for cell in rows["time"][other]]
     except (ValueError, OverflowError):
         return None
-
-    interval = rows["interval"].copy()
-    if not np.all((interval > 0) & (interval < np.inf)):
-        return None
-    width = int(np.char.str_len(rows["annotation"]).max(initial=1))
-    if width >= _ROW["annotation"].itemsize:
-        return None
-    return RRSeries._from_columns(rows["index"].copy(), time, interval,
-                                  rows["annotation"].astype(f"U{width}"),
+    return RRSeries._from_columns(index, time, interval, annotation,
                                   np.zeros(rows.size, dtype=bool), header=header)
 
 

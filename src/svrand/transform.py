@@ -79,13 +79,28 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     differs from the previous such run's, taking a 0 before the first.
     """
     a = s.to_array().view(bool)  # the bits are 0s and 1s
-    idx = np.int32 if a.size < 2**31 else np.int64
-    starts = np.flatnonzero(np.diff(a, prepend=~a[:1])).astype(idx)
-    ones, lengths = a[starts], np.diff(starts, append=idx(a.size))
-    qual = np.flatnonzero(np.where(ones, lengths >= pattern.accel, lengths >= pattern.decel))
-    cut = qual[np.diff(ones[qual], prepend=False)]
+    starts = np.flatnonzero(_long_run_heads(a, pattern.accel)
+                            | _long_run_heads(~a, pattern.decel))
+    ones = a[starts]
+    cut = np.diff(ones, prepend=False)
     starts, ones = starts[cut], ones[cut]
     marks = np.zeros(a.size + 1, dtype=np.int8)  # windows never overlap: sums are 0 or 1
     marks[starts] = 1
     marks[starts + np.where(ones, pattern.accel, pattern.decel)] -= 1
-    return BitSequence._wrap(a[np.cumsum(marks[:-1], dtype=np.int8) == 0].view(np.uint8))
+    np.cumsum(marks, dtype=np.int8, out=marks)
+    return BitSequence._wrap(a[marks[:-1] == 0].view(np.uint8))
+
+
+def _long_run_heads(a: np.ndarray, length: int) -> np.ndarray:
+    """True where a run of at least `length` Trues starts in the bool array `a`.
+
+    In-place ANDs with shifted views narrow the run starts to these heads, so
+    that only they get positions and no array of positions spans every run.
+    """
+    heads = np.empty_like(a)
+    heads[:1] = a[:1]
+    np.greater(a[1:], a[:-1], out=heads[1:])
+    for k in range(1, length):
+        heads[:-k] &= a[k:]
+        heads[-k:] = False
+    return heads

@@ -182,6 +182,13 @@ class TestCountSubstringsFast:
             s = BitSequence(format(value, f"0{n}b") if n else "")
             assert count_substrings_fast(s, 9) == count_substrings(s, 9)
 
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    def test_rejects_n_beyond_uint32(self, mode):
+        # A zero-stride view: 2**32 bits that take no memory.
+        s = BitSequence._wrap(np.broadcast_to(np.uint8(0), (1 << 32,)))
+        with pytest.raises(ValueError, match="n < 2\\*\\*32"):
+            count_substrings_fast(s, 3, mode)
+
     @settings(max_examples=200, deadline=None)
     @given(block=st.sampled_from([1, 2, 7]), k=st.integers(1, 5),
            edge=st.sampled_from([-1, 0, 1]), max_len=st.integers(1, 9),

@@ -232,12 +232,12 @@ class TestEpsilonProfile:
         assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
 
     def test_peak_memory_is_the_count_table(self):
-        # 2**22 bits: H = 21, so the table holds int64 levels 1..22.  Neither
-        # the counter nor the estimator may hold a buffer that scales with n
-        # or 2**H beside it.
+        # 2**22 bits: H = 21, so the table holds uint32 levels 1..22, 4 bytes
+        # per entry.  Neither the counter nor the estimator may hold a buffer
+        # that scales with n or 2**H beside it.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
-        table_bytes = 8 * sum(1 << length for length in range(1, 23))
+        table_bytes = 4 * sum(1 << length for length in range(1, 23))
         tracemalloc.start()
         try:
             profile = epsilon_profile(s)
@@ -274,6 +274,19 @@ class TestWeightedEpsilon:
         profile = EpsilonProfile(epsilons=(0.0, 0.25, 0.5), max_h=2, n=8, mode="linear")
         # w(2) = 11/6; (0/1 + 0.25/2 + 0.5/3) / (11/6) = 7/44
         assert weighted_epsilon(profile) == pytest.approx(7 / 44, abs=1e-12)
+
+    def test_matches_numpy_dot_form(self):
+        # The harmonic-weighted dot product as numpy computes it, clipped to
+        # the entries' range; plain-float sums may differ only by rounding.
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            max_h = int(rng.integers(0, 65))
+            eps = rng.uniform(0.0, 0.5, max_h + 1)
+            raw = 1.0 / np.arange(1, max_h + 2)
+            want = np.clip(np.dot(raw / raw.sum(), eps), eps.min(), eps.max())
+            profile = EpsilonProfile(epsilons=tuple(eps.tolist()), max_h=max_h,
+                                     n=2, mode="linear", forced=True)
+            assert abs(weighted_epsilon(profile) - want) <= 1e-15
 
     @pytest.mark.parametrize("max_h", [0, 1, 5, 20, 64])
     def test_weights_sum_to_one(self, max_h):

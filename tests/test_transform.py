@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,21 @@ class TestCutTrends:
             for bits in itertools.product("01", repeat=n):
                 text = "".join(bits)
                 assert str(cut_trends(BitSequence(text), pattern)) == reference_cut(text, i, j)[0]
+
+    def test_peak_memory_per_input_bit(self):
+        # At (3,3) a quarter of a coin's bits head a qualifying run, so their
+        # int64 positions take 2 bytes per bit; the bool run heads and the
+        # int8 marks take 1 byte per bit each.  No array of positions may
+        # span every run.
+        rng = np.random.default_rng(22)
+        s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            cut_trends(s, TrendCutPattern(3, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(s)
 
     @pytest.mark.parametrize("i,j", [(3, 3), (6, 6)])
     def test_long_seeded_sequence(self, i, j):
