@@ -10,7 +10,6 @@ whose counts carry little statistical evidence.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -143,10 +142,8 @@ def history_weights(max_h: int) -> np.ndarray:
     """Normalised harmonic weights 1/(h+1) for h = 0..max_h; they sum to 1."""
     if max_h < 0:
         raise ValueError(f"max_h must be >= 0, got {max_h}")
-    raw = np.reciprocal(np.arange(1.0, max_h + 2))
-    # A few dozen terms at most: a plain-float sum costs less than numpy's.
-    raw /= math.fsum(raw.tolist())
-    return raw
+    raw = 1.0 / np.arange(1, max_h + 2)
+    return raw / raw.sum()
 
 
 def weighted_epsilon(profile: EpsilonProfile) -> float:
@@ -158,8 +155,10 @@ def weighted_epsilon(profile: EpsilonProfile) -> float:
     if undefined:
         raise ValueError(f"profile has undefined epsilons at history lengths {undefined}")
     eps = profile.epsilons
-    # On plain floats: a few dozen terms cost less than numpy calls.
-    value = math.fsum(map(operator.mul, history_weights(profile.max_h).tolist(), eps))
+    # The weights of history_weights on plain floats: for a few dozen terms,
+    # numpy calls cost more than the arithmetic.
+    raw = [1.0 / (h + 1) for h in range(len(eps))]
+    value = math.fsum(w * e for w, e in zip(raw, eps)) / math.fsum(raw)
     # A convex combination; rounding in the sum must not carry it outside
     # the range of the per-history estimates.
     return float(min(max(value, min(eps)), max(eps)))

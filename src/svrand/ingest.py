@@ -62,10 +62,9 @@ _CLOCK_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1000,
 _CLOCK_RADIX = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
 
 # One row of the table path.  The clock field holds one byte more than the
-# layout, and no annotation may fill its field, so that a cut shows: a file
-# with an annotation of 8 or more characters goes to the row parser.
+# layout, and no annotation may fill its field, so that a cut shows.
 _ROW = np.dtype([("index", np.int64), ("time", "S13"), ("interval", np.float64),
-                 ("annotation", "S8")])
+                 ("annotation", "S16")])
 # The characters np.loadtxt splits as str.splitlines and str.split do.
 _PLAIN = bytes(range(32, 127)) + b"\t\n"
 
@@ -294,7 +293,7 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     other = np.flatnonzero(
         np.any(digits > 9, axis=1)
         | np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8), axis=1))
-    # The digits go and `time` reuses the buffer of `ms`: a lower parse peak.
+    # Freed and reused early, so that cohort_med's peak RSS does not flip high.
     del digits
     time = np.divide(ms, 1000.0, out=ms.view(np.float64))
     try:

@@ -229,10 +229,10 @@ class TestBulkParse:
         assert table == row_parse("hdr\n" + body)
         assert table.time[-1] == 3600.5
 
-    @pytest.mark.parametrize("annotation,table_path", [("ABCDEFG", True),
-                                                       ("ABCDEFGH", False)])
+    @pytest.mark.parametrize("annotation,table_path", [("ABCDEFGHIJKLMNO", True),
+                                                       ("ABCDEFGHIJKLMNOP", False)])
     def test_annotation_width_boundary(self, annotation, table_path):
-        # An annotation of 8 or more characters would fill its table field.
+        # An annotation of 16 or more characters would fill its table field.
         body = f"1 00:00:01.000 0.8 N\n2 00:00:02.000 0.8 {annotation}\n"
         table = ingest._parse_table(io.StringIO(body), "hdr")
         assert (table is not None) == table_path
@@ -259,7 +259,7 @@ class TestBulkParse:
         "1 inf 0.8 N",                                # raw seconds, not finite
         "1 00:00:1e400 0.8 N",
         "1 00:00:00.0009 1 N",                        # 13 characters
-        "1 00:00:00.000 1 ABCDEFGHIJKLMNOP",          # 16 characters: the row parser
+        "1 00:00:00.000 1 ABCDEFGHIJKLMNOP",          # 16 characters fill the field
         "1 00:00:00.000 1 ABCDEFGHIJKLMNOPQ",         # 17 characters
         "1 00:00:00.000 1 N\x00X",
         "1 00:00:00.000\x0b0.8 N",                     # a line break between fields

@@ -196,10 +196,13 @@ class TestCutTrends:
                 assert str(cut_trends(BitSequence(text), pattern)) == reference_cut(text, i, j)[0]
 
     def test_peak_memory_per_input_bit(self):
-        # At (3,3) a quarter of a coin's bits head a qualifying run, so their
-        # int64 positions take 2 bytes per bit; the bool run heads and the
-        # int8 marks take 1 byte per bit each.  No array of positions may
-        # span every run.
+        # At (3,3) an eighth of a coin's bits head a qualifying run, so their
+        # int64 positions take about 1 byte per bit, and the half kept by the
+        # type-change step half that.  Three bool arrays of 1 byte per bit
+        # meet at the `|` of the run heads; at the end the int8 marks, the
+        # bool mask, the output and the kept positions take about 3.5.  No
+        # array of positions may span every run: int64 positions of all run
+        # starts alone take 4 bytes per bit.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
