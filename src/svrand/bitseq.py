@@ -223,10 +223,12 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     instead of L - 1.  Each length has its own uint32 array, zero beyond a
     linear sequence's n; np.add.at adds each block into the length-L one.
     No count exceeds n, so n must be below 2**32.
-    Shorter lengths are filled in place by marginalising away the last bit,
-    level[h] = level[h + 1] summed over pattern pairs, which misses only the
-    window starting at n - h: in linear mode that window, the last h bits, is
-    added back.  Cyclic mode counts the sequence with its first L - 1 bits
+    Shorter lengths are filled in place by marginalising away the last bit:
+    level[h] is the strided add of level[h + 1]'s even and odd entries (the
+    two patterns that extend each one by a bit), which numpy runs at memory
+    speed, unlike a sum over a length-2 axis.  This misses only the window
+    starting at n - h: in linear mode that window, the last h bits, is added
+    back.  Cyclic mode counts the sequence with its first L - 1 bits
     appended, so no window is missed; it needs L <= n.
     """
     _check_count_args(max_len, mode)
@@ -249,7 +251,7 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
             np.add.at(levels[top - 1], vals, np.uint32(1))
         last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
         for h in range(top - 1, 0, -1):
-            np.sum(levels[h].reshape(-1, 2), axis=1, out=levels[h - 1])
+            np.add(levels[h][0::2], levels[h][1::2], out=levels[h - 1])
             if mode == "linear":
                 levels[h - 1][last & ((1 << h) - 1)] += 1
     return CountTable(max_len, mode, n, levels)

@@ -85,7 +85,9 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     zero count under an occurring history yields the maximal deviation 1/2.
 
     The maximum is taken over chunks of _CHUNK histories, each in one
-    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  Every
+    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  The
+    ratios are divided without a mask: a history that never occurs gives
+    0/0 = NaN, which np.fmax skips when it takes the chunk's maximum.  Every
     ratio sees the same float operations whatever the chunk, and the maximum
     is exact, so the result does not depend on the chunk size.
     """
@@ -99,15 +101,15 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
         return None
     pairs = counts.level(h + 1).reshape(-1, 2)
     worst = 0.0
-    for start in range(0, den.size, _CHUNK):
-        den_c = den[start:start + _CHUNK, None]
-        pairs_c = pairs[start:start + _CHUNK]
-        # Histories that never occur keep the ratio 1/2, whose zero deviation
-        # cannot raise the maximum.
-        ratios = np.divide(pairs_c, den_c, out=np.full(pairs_c.shape, 0.5),
-                           where=den_c > 0)
-        ratios -= 0.5
-        worst = max(worst, float(np.abs(ratios, out=ratios).max()))
+    # Only 0/0 can occur, never x/0 with x > 0: count(history + bit) <= count(history).
+    with np.errstate(invalid="ignore"):
+        for start in range(0, den.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            ratios = pairs[chunk] / den[chunk, None]
+            ratios -= 0.5
+            np.abs(ratios, out=ratios)
+            # An all-NaN chunk gives NaN, which never compares above worst.
+            worst = max(worst, float(np.fmax.reduce(ratios, axis=None)))
     return worst
 
 

@@ -76,7 +76,8 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
 
     A search lands on the head of the next run of its bit that is at least
     a window long.  So the pass cuts a window from each such run whose bit
-    differs from the previous such run's, taking a 0 before the first.
+    differs from the previous such run's, taking a 0 before the first.  The
+    kept bits are a bool mask, cleared one window offset at a time.
     """
     a = s.to_array().view(bool)  # the bits are 0s and 1s
     starts = np.flatnonzero(_long_run_heads(a, pattern.accel)
@@ -84,11 +85,11 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     ones = a[starts]
     cut = np.diff(ones, prepend=False)
     starts, ones = starts[cut], ones[cut]
-    marks = np.zeros(a.size + 1, dtype=np.int8)  # windows never overlap: sums are 0 or 1
-    marks[starts] = 1
-    marks[starts + np.where(ones, pattern.accel, pattern.decel)] -= 1
-    np.cumsum(marks, dtype=np.int8, out=marks)
-    return BitSequence._wrap(a[marks[:-1] == 0].view(np.uint8))
+    keep = np.ones_like(a)
+    for heads, length in ((starts[ones], pattern.accel), (starts[~ones], pattern.decel)):
+        for k in range(length):
+            keep[heads + k] = False
+    return BitSequence._wrap(a[keep].view(np.uint8))
 
 
 def _long_run_heads(a: np.ndarray, length: int) -> np.ndarray:

@@ -183,6 +183,21 @@ class TestCountSubstringsFast:
             assert count_substrings_fast(s, 9) == count_substrings(s, 9)
 
     @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    def test_levels_marginalise_at_production_size(self, mode):
+        # Each lower level is the level above summed over pattern pairs, plus
+        # in linear mode the window of the last h bits, which the level above
+        # misses.  The reference-counter tests only reach small n.
+        n = 1 << 20
+        bits = np.random.default_rng(31).integers(0, 2, n, dtype=np.uint8)
+        table = count_substrings_fast(BitSequence.from_array(bits), 21, mode)
+        assert table.level(21).sum() == (n - 20 if mode == "linear" else n)
+        for h in range(1, 21):
+            expected = table.level(h + 1).reshape(-1, 2).sum(axis=1)
+            if mode == "linear":
+                expected[int("".join(map(str, bits[-h:])), 2)] += 1
+            assert np.array_equal(table.level(h), expected)
+
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
     def test_rejects_n_beyond_uint32(self, mode):
         # A zero-stride view: 2**32 bits that take no memory.
         s = BitSequence._wrap(np.broadcast_to(np.uint8(0), (1 << 32,)))

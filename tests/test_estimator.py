@@ -114,6 +114,26 @@ class TestEpsilonH:
             for h in range(1, max_len):
                 assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
 
+    @pytest.mark.parametrize("chunk", [1, estimator._CHUNK])
+    def test_never_occurring_histories_raise_no_float_error(self, chunk):
+        # A history that never occurs divides 0/0; its NaN must stay inside
+        # epsilon_h, under a caller's strictest error state, and leave that
+        # state as it was.  With one history per chunk, whole chunks are NaN.
+        rng = np.random.default_rng(9)
+        tables = [count_substrings_fast(BitSequence("01"), 6),
+                  count_substrings_fast(BitSequence("1" * 40), 6),
+                  *(count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 10)
+                    for n in (25, 300, 2000))]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = np.geterr()
+            with mock.patch.object(estimator, "_CHUNK", chunk):
+                for counts in tables:
+                    assert epsilon_h(counts, 0) == closed_form_eps0(counts)
+                    for h in range(1, counts.max_len):
+                        assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
+            assert np.geterr() == state
+
     def test_empty_sequence_h0_is_undefined(self):
         counts = count_substrings_fast(BitSequence(""), 1)
         assert epsilon_h(counts, 0) is None

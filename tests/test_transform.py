@@ -199,8 +199,8 @@ class TestCutTrends:
         # At (3,3) an eighth of a coin's bits head a qualifying run, so their
         # int64 positions take about 1 byte per bit, and the half kept by the
         # type-change step half that.  Three bool arrays of 1 byte per bit
-        # meet at the `|` of the run heads; at the end the int8 marks, the
-        # bool mask, the output and the kept positions take about 3.5.  No
+        # meet at the `|` of the run heads; at the end the bool keep mask,
+        # the output and the kept positions take about 3.  No
         # array of positions may span every run: int64 positions of all run
         # starts alone take 4 bytes per bit.
         rng = np.random.default_rng(22)
