@@ -1,8 +1,9 @@
 """Command-line front end for the analysis pipeline.
 
-Subcommands: analyze (RR files to epsilon reports), merge (concatenated
-analysis of many persons), synth (synthetic RR file), debruijn (print a
-De Bruijn sequence), stats (re-aggregate an existing persons CSV).
+Subcommands: analyze (RR files to epsilon reports, per person or, with
+--mode merged, for their concatenation), synth (synthetic RR file),
+debruijn (print a De Bruijn sequence), stats (re-aggregate an existing
+persons CSV).
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 """
@@ -154,19 +155,22 @@ def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
     return list(paths.values())
 
 
-def _preprocess(series, config: RunConfig):
+def _person_bits(path: str, config: RunConfig) -> tuple[PersonMeta, BitSequence]:
+    """One recording's identity and bits: parse, in med mode the nocturnal
+    window and then editing, the normal beats, the discretizer, the cut."""
+    meta, series = parse_holter(path, config.meta_pattern)
     if config.mode == "med":
-        series = extract_nocturnal(series)
-        series = edit_perturbations(series)
-    return filter_normal(series)
-
-
-def _discretize(series, config: RunConfig) -> BitSequence:
+        series = edit_perturbations(extract_nocturnal(series))
+    series = filter_normal(series)
     if config.discretizer == "accel":
-        return discretize_accel(series, config.eta1)
-    if config.discretizer == "rapid":
-        return discretize_rapid(series, config.eta2)
-    return discretize_mono(series)
+        bits = discretize_accel(series, config.eta1)
+    elif config.discretizer == "rapid":
+        bits = discretize_rapid(series, config.eta2)
+    else:
+        bits = discretize_mono(series)
+    if config.cut is not None:
+        bits = cut_trends(bits, TrendCutPattern(*config.cut))
+    return meta, bits
 
 
 def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig) -> PersonResult:
@@ -192,24 +196,12 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig) -> PersonR
 def run_analysis(config: RunConfig
                  ) -> tuple[list[PersonResult], list[CohortStats], list[PersonMeta]]:
     """Execute the pipeline: parse, pre-process, discretize, cut, estimate, group."""
-    paths = _expand_inputs(config.inputs)
-    people: list[tuple[PersonMeta, BitSequence]] = []
-    for path in paths:
-        meta, series = parse_holter(path, config.meta_pattern)
-        series = _preprocess(series, config)
-        bits = _discretize(series, config)
-        if config.cut is not None:
-            bits = cut_trends(bits, TrendCutPattern(*config.cut))
-        people.append((meta, bits))
-
+    metas, bits = zip(*(_person_bits(p, config) for p in _expand_inputs(config.inputs)))
     if config.mode == "trim":
-        trimmed = trim_to_min([bits for _, bits in people])
-        people = [(meta, bits) for (meta, _), bits in zip(people, trimmed)]
+        bits = trim_to_min(bits)
     elif config.mode == "merged":
-        merged = merge_persons([bits for _, bits in people])
-        people = [(PersonMeta(id=f"merged({len(paths)})"), merged)]
-
-    results = [_estimate(meta, bits, config) for meta, bits in people]
+        metas, bits = [PersonMeta(id=f"merged({len(bits)})")], [merge_persons(bits)]
+    results = [_estimate(meta, b, config) for meta, b in zip(metas, bits)]
     stats, unknown = bucket([(r.meta, r.weighted) for r in results])
     return results, stats, unknown
 
@@ -297,34 +289,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_options(parser: argparse.ArgumentParser, with_mode: bool) -> None:
-    parser.add_argument("inputs", nargs="+", metavar="FILE",
-                        help="annotated RR files (globs allowed)")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--discretizer", choices=DISCRETIZERS, default="accel",
-                        help="RR-to-bit rule (default accel)")
-    parser.add_argument("--eta1", type=float, default=0.0,
-                        help="offset in seconds for the accel discretizer")
-    parser.add_argument("--eta2", type=float, default=None,
-                        help="threshold in seconds for the rapid discretizer")
-    parser.add_argument("--cut", metavar="I,J", default=None,
-                        help="trend-cut run lengths, e.g. 3,3")
-    if with_mode:
-        parser.add_argument("--mode", choices=MODES, default=None,
-                            help="experiment mode (default full, or cut with --cut)")
-    parser.add_argument("--cyclic", dest="counting", action="store_const",
-                        const="cyclic", default="linear",
-                        help="count substrings with wrap-around")
-    parser.add_argument("--h", default="auto",
-                        help="max history: auto, loglog, or an integer")
-    parser.add_argument("--force-h", action="store_true",
-                        help="allow an explicit --h beyond floor(log2 n) - 1")
-    parser.add_argument("--format", choices=FORMATS, default="both",
-                        help="report format(s)")
-    parser.add_argument("--meta-pattern", default=DEFAULT_META_PATTERN,
-                        help="regex with sex/age/start groups for file names")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="svrand",
                      description="Santha-Vazirani randomness assessment for "
@@ -334,13 +298,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze",
                        help="estimate epsilons for RR files")
-    _add_pipeline_options(p, with_mode=True)
+    p.add_argument("inputs", nargs="+", metavar="FILE",
+                   help="annotated RR files (globs allowed)")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--discretizer", choices=DISCRETIZERS, default="accel",
+                   help="RR-to-bit rule (default accel)")
+    p.add_argument("--eta1", type=float, default=0.0,
+                   help="offset in seconds for the accel discretizer")
+    p.add_argument("--eta2", type=float, default=None,
+                   help="threshold in seconds for the rapid discretizer")
+    p.add_argument("--cut", metavar="I,J", default=None,
+                   help="trend-cut run lengths, e.g. 3,3")
+    p.add_argument("--mode", choices=MODES, default=None,
+                   help="experiment mode (default full, or cut with --cut)")
+    p.add_argument("--cyclic", dest="counting", action="store_const",
+                   const="cyclic", default="linear",
+                   help="count substrings with wrap-around")
+    p.add_argument("--h", default="auto",
+                   help="max history: auto, loglog, or an integer")
+    p.add_argument("--force-h", action="store_true",
+                   help="allow an explicit --h beyond floor(log2 n) - 1")
+    p.add_argument("--format", choices=FORMATS, default="both",
+                   help="report format(s)")
+    p.add_argument("--meta-pattern", default=DEFAULT_META_PATTERN,
+                   help="regex with sex/age groups for file names")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("merge",
-                       help="analyze the concatenation of all persons")
-    _add_pipeline_options(p, with_mode=False)
-    p.set_defaults(func=cmd_analyze, mode="merged")
 
     p = sub.add_parser("synth",
                        help="write a synthetic RR file")

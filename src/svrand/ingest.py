@@ -2,7 +2,7 @@
 
 File layout: one header line, then whitespace-separated rows of
 (index, time of day, RR interval in seconds, annotation).  Person metadata
-(sex, age, measurement start) is carried by the file name.
+(sex and age) is carried by the file name.
 
 A series holds one numpy column per field; `RRRecord` is the row type for
 building small series by hand and for reading rows back.
@@ -38,7 +38,8 @@ __all__ = [
 
 NORMAL_ANNOTATION = "N"
 
-# Named groups: sex (F/M), age (years), start (HHMMSS clock time).
+# Named groups: sex (F/M) and age (years); the start clock time (HHMMSS)
+# completes the name but is not read.
 DEFAULT_META_PATTERN = r"(?P<sex>[FM])_(?P<age>\d{1,3})_(?P<start>\d{6})"
 
 # Nocturnal extractions shorter than this are statistically thin for the
@@ -182,7 +183,6 @@ class PersonMeta:
     id: str
     sex: str | None = None
     age: int | None = None
-    start_time: float | None = None
 
     def __post_init__(self):
         # One to three digits, as DEFAULT_META_PATTERN reads them.
@@ -323,21 +323,19 @@ def _parse_rows(lines: list[str], header: str, name: str) -> RRSeries:
 
 
 def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMeta:
-    """Decode sex/age/start time from a file name; unknown fields stay None."""
+    """Decode sex and age from a file name; unknown fields stay None."""
     stem = Path(name).stem
     if "\r" in stem:  # the CSV writer would leave it unquoted, splitting the row
         raise HolterFormatError(f"{name!r}: a carriage return cannot be in a person id")
     match = re.search(meta_pattern, stem)
     if match is None:
         warnings.warn(f"file name {name!r} does not match the metadata pattern; "
-                      f"sex/age/start time unknown")
+                      f"sex/age unknown")
         return PersonMeta(id=stem)
     groups = match.groupdict()
-    start, age = groups.get("start"), groups.get("age")
+    age = groups.get("age")
     try:
-        start_time = None if start is None else (
-            int(start[0:2]) * 3600.0 + int(start[2:4]) * 60.0 + int(start[4:6]))
-        return PersonMeta(id=stem, sex=groups.get("sex"), start_time=start_time,
+        return PersonMeta(id=stem, sex=groups.get("sex"),
                           age=None if age is None else int(age))
     except ValueError as exc:
         raise HolterFormatError(f"{name!r}: {exc}") from None

@@ -251,8 +251,7 @@ class TestAnalyzeCommand:
         ("F_1000_221500.txt", "age", "age must be in 0..999, got 1000"),
         ("F_-5_221500.txt", "age", "age must be in 0..999, got -5"),
         ("F_x_221500.txt", "age", "invalid literal for int() with base 10: 'x'"),
-        ("F_x_221500.txt", "start", "invalid literal for int() with base 10: 'x'"),
-    ], ids=["age_1000", "age_negative", "age_not_integer", "start_not_integer"])
+    ], ids=["age_1000", "age_negative", "age_not_integer"])
     def test_bad_number_in_file_name_is_input_error(self, tmp_path, capsys, name, group,
                                                  message):
         path = tmp_path / name
@@ -275,7 +274,7 @@ class TestMergeCommand:
         a = synth_file(tmp_path, name="F_30_010000.txt", n=800, seed=1)
         b = synth_file(tmp_path, name="M_40_010000.txt", n=700, seed=2)
         out = tmp_path / "rep"
-        assert main(["merge", str(a), str(b), "--out", str(out)]) == 0
+        assert main(["analyze", str(a), str(b), "--mode", "merged", "--out", str(out)]) == 0
         (row,) = read_rows((out / "persons.csv").read_text())
         assert row["person_id"] == "merged(2)"
         assert int(row["n_bits"]) == 799 + 699
@@ -284,9 +283,19 @@ class TestMergeCommand:
     def test_merge_accepts_cut(self, tmp_path, capsys):
         a = synth_file(tmp_path, name="F_30_010000.txt", n=800, seed=1)
         out = tmp_path / "rep"
-        assert main(["merge", str(a), "--cut", "3,3", "--out", str(out)]) == 0
+        assert main(["analyze", str(a), "--mode", "merged", "--cut", "3,3",
+                     "--out", str(out)]) == 0
         (row,) = read_rows((out / "persons.csv").read_text())
         assert row["mode"] == "merged+cut(3,3)"
+
+    def test_merge_command_is_retired(self, tmp_path, capsys):
+        # `analyze --mode merged` is the one spelling of the concatenated analysis.
+        a = synth_file(tmp_path, name="F_30_010000.txt", n=800, seed=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", str(a), "--out", str(tmp_path / "rep")])
+        assert exc.value.code == 1
+        assert "invalid choice: 'merge'" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestStatsCommand:

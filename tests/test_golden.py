@@ -33,7 +33,7 @@ VARIANTS = {
     "rapid_eta2": ["analyze", FIXTURE, "--discretizer", "rapid", "--eta2", "0.05",
                    "--h", "3"],
     "mono": ["analyze", FIXTURE, "--discretizer", "mono"],
-    "merge_cut44": ["merge", FIXTURE, "--cut", "4,4"],
+    "merge_cut44": ["analyze", FIXTURE, "--mode", "merged", "--cut", "4,4"],
     # Persons with different H: the shorter row is padded with empty cells.
     "two_persons": ["analyze", FIXTURE, SHORT],
     # Undefined epsilons and an unavailable weighted epsilon.

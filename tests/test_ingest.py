@@ -40,7 +40,6 @@ class TestParseHolter:
         assert meta.id == "F_63_221500"
         assert meta.sex == "F"
         assert meta.age == 63
-        assert meta.start_time == 22 * 3600 + 15 * 60
 
     @pytest.mark.parametrize("age", [-1, 1000])
     def test_age_has_one_to_three_digits(self, age):
@@ -53,7 +52,7 @@ class TestParseHolter:
         path.write_text(SAMPLE)
         with pytest.warns(UserWarning, match="does not match"):
             meta, series = parse_holter(path)
-        assert meta.sex is None and meta.age is None and meta.start_time is None
+        assert meta.sex is None and meta.age is None
         assert len(series) == 2
 
     def test_header_only_is_no_records(self, tmp_path):
