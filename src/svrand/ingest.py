@@ -330,7 +330,7 @@ def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMet
     match = re.search(meta_pattern, stem)
     if match is None:
         warnings.warn(f"file name {name!r} does not match the metadata pattern; "
-                      f"sex/age unknown")
+                      "sex/age unknown")
         return PersonMeta(id=stem)
     groups = match.groupdict()
     age = groups.get("age")

@@ -290,9 +290,8 @@ class TestMergeCommand:
 
     def test_merge_command_is_retired(self, tmp_path, capsys):
         # `analyze --mode merged` is the one spelling of the concatenated analysis.
-        a = synth_file(tmp_path, name="F_30_010000.txt", n=800, seed=1)
         with pytest.raises(SystemExit) as exc:
-            main(["merge", str(a), "--out", str(tmp_path / "rep")])
+            main(["merge", "F_30_010000.txt", "--out", str(tmp_path / "rep")])
         assert exc.value.code == 1
         assert "invalid choice: 'merge'" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()

@@ -8,6 +8,7 @@ cohorts in every mode, so that the stage order, the cut, trim and merge
 steps, the history presets and the cohort bucketing are checked together.
 """
 
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -90,7 +91,8 @@ def reference_row(person_id: str, sex, age, bits: str, config: RunConfig) -> dic
     table = count_substrings(BitSequence(bits), use + 1, config.counting)
     eps = [reference_epsilon(table, h) for h in range(use + 1)]
     weighted = None if None in eps else (
-        sum(e / (h + 1) for h, e in enumerate(eps)) / sum(1 / (h + 1) for h in range(use + 1)))
+        math.fsum(e / (h + 1) for h, e in enumerate(eps))
+        / math.fsum(1 / (h + 1) for h in range(use + 1)))
     if config.cut is None:
         tag = config.mode
     else:
