@@ -10,7 +10,9 @@ building small series by hand and for reading rows back.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import statistics
 import warnings
@@ -245,7 +247,7 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 3 (interval): {exc}") from None
 
 
-def _parse_table(stream, header: str) -> RRSeries | None:
+def _parse_table(stream, header: str, path: str | None = None) -> RRSeries | None:
     """The rows of the rest of a seekable text stream, read as one table.
 
     Returns None unless the result provably equals what `_parse_row` makes
@@ -253,7 +255,9 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     newline, where `np.loadtxt` breaks lines and fields as `str.splitlines`
     and `str.split` do; every line has four fields that `loadtxt` converts
     as `int()` and `float()` would; every clock converts; the interval is
-    positive and finite; and no field was cut to its width.
+    positive and finite; and no field was cut to its width.  Given `path`,
+    the file that `stream` reads, `loadtxt` reads the file itself, in large
+    chunks, from its second line (see `parse_holter`).
     """
     start = stream.tell()
     while piece := stream.read(1 << 16):
@@ -266,8 +270,10 @@ def _parse_table(stream, header: str) -> RRSeries | None:
             # integer after a DeprecationWarning; int() rejects both.
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(stream, dtype=_ROW, comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+            rows = np.loadtxt(stream if path is None else path, dtype=_ROW, comments=None,
+                              ndmin=1, skiprows=0 if path is None else 1, encoding="utf-8")
+    except (ValueError, DeprecationWarning, OSError):
+        # OSError: numpy could not open the path again; the stream still reads.
         return None
 
     interval = rows["interval"].copy()
@@ -277,7 +283,10 @@ def _parse_table(stream, header: str) -> RRSeries | None:
     if width >= _ROW["annotation"].itemsize:
         return None
     index = rows["index"].copy()
-    annotation = rows["annotation"].astype(f"U{width}")
+    # The annotation field's bytes, the last of each row: ASCII without NUL,
+    # so each byte widened is its code point, and zeros pad the shorter values.
+    field = rows.view((np.uint8, _ROW.itemsize))[:, _ROW.fields["annotation"][1]:]
+    annotation = field[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
 
     # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
     # is exact digit arithmetic on the HH:MM:SS.mmm layout; other clocks,
@@ -350,25 +359,30 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
     provably gives the row parser's result.  Otherwise the whole text is
     read again and parsed line by line, and all malformed rows are reported
     together, each with its line number.
+
+    `loadtxt` reads a path itself, in large chunks, unless its name ends in
+    .gz, .bz2, .xz or .lzma, which numpy would decompress.  A relative path
+    goes to numpy behind "./", which numpy never takes for a URL.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return parse_holter(fh, meta_pattern)
-    name = getattr(source, "name", "<stream>")
-    start = source.tell()
-    head = source.readline()
-    if not head:
-        raise HolterFormatError(f"{name}: empty file")
-    # The header is the first line as str.splitlines sees it.
-    lines = head.splitlines()
-    series = _parse_table(source, lines[0]) if len(lines) == 1 else None
-    if series is None:
-        source.seek(start)
-        lines = source.read().splitlines()
-        series = _parse_rows(lines[1:], lines[0], name)
-    if not len(series):
-        raise HolterFormatError(f"{name}: no records")
-    return parse_meta(name, meta_pattern), series
+    named = isinstance(source, (str, Path))
+    with open(source, encoding="utf-8") if named else contextlib.nullcontext(source) as stream:
+        direct = named and os.path.splitext(source)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+        path = os.path.join(os.curdir, source) if direct else None
+        name = getattr(stream, "name", "<stream>")
+        start = stream.tell()
+        head = stream.readline()
+        if not head:
+            raise HolterFormatError(f"{name}: empty file")
+        # The header is the first line as str.splitlines sees it.
+        lines = head.splitlines()
+        series = _parse_table(stream, lines[0], path) if len(lines) == 1 else None
+        if series is None:
+            stream.seek(start)
+            lines = stream.read().splitlines()
+            series = _parse_rows(lines[1:], lines[0], name)
+        if not len(series):
+            raise HolterFormatError(f"{name}: no records")
+        return parse_meta(name, meta_pattern), series
 
 
 def write_holter(series: RRSeries, dest) -> None:

@@ -1,6 +1,9 @@
 import io
 import random
+import socket
+import urllib.request
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,66 @@ class TestParseHolter:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_holter(tmp_path / "absent.txt")
+
+    @pytest.mark.filterwarnings("ignore:file name")
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
+        # numpy decompresses a path with these suffixes; open() reads text.
+        text = (Path(__file__).parent / "data" / "F_42_221500.txt").read_text()
+        path = tmp_path / f"F_42_221500.txt{suffix}"
+        path.write_text(text)
+        meta, series = parse_holter(path)
+        assert meta == PersonMeta(id="F_42_221500.txt", sex="F", age=42)
+        assert series == parse_holter(io.StringIO(text))[1]
+
+    @pytest.mark.filterwarnings("ignore:file name")
+    def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.setattr(socket, "create_connection", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "h").mkdir(parents=True)
+        (tmp_path / "http:" / "h" / "F_42_221500.txt").write_text(SAMPLE)
+        meta, series = parse_holter("http://h/F_42_221500.txt")
+        assert meta.id == "F_42_221500"
+        assert series == parse_holter(io.StringIO(SAMPLE))[1]
+
+    def test_parses_without_a_working_directory(self, tmp_path, monkeypatch):
+        # numpy's DataSource cannot open a path then; the stream still reads.
+        path = tmp_path / "F_63_221500.txt"
+        path.write_text(SAMPLE)
+        (tmp_path / "gone").mkdir()
+        monkeypatch.chdir(tmp_path / "gone")
+        (tmp_path / "gone").rmdir()
+        _, series = parse_holter(str(path))
+        assert len(series) == 2
+
+    @pytest.mark.filterwarnings("ignore:file name")
+    def test_parent_of_a_symlink_is_resolved_as_open_does(self, tmp_path, monkeypatch):
+        # "link/.." is the parent of the link's target, not the working
+        # directory that a lexically normalised path would name.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        (tmp_path / "real" / "F_63_221500.txt").write_text(SAMPLE)
+        (tmp_path / "F_63_221500.txt").write_text(SAMPLE.replace("0.8046875", "0.5"))
+        _, series = parse_holter("link/../F_63_221500.txt")
+        assert series == parse_holter(io.StringIO(SAMPLE))[1]
+
+    @pytest.mark.filterwarnings("ignore:file name")
+    def test_open_file_is_read_from_its_position(self, tmp_path):
+        # The header looks like a row, so a read of the rest of the file
+        # from its start would count it as a beat.
+        text = "0 00:00:00.000 0.5 N\n" + SAMPLE.split("\n", 1)[1]
+        path = tmp_path / "F_63_221500.txt"
+        path.write_text("preamble\n" + text)
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            _, series = parse_holter(fh)
+        assert series == parse_holter(io.StringIO(text))[1]
+        assert len(series) == 2
 
     def test_malformed_row_reports_line_and_column(self, tmp_path):
         path = tmp_path / "F_20_000000.txt"

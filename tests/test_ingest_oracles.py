@@ -5,9 +5,12 @@ exactly: parsing row by row, writing record by record, the two-pointer
 nocturnal window and the left-to-right perturbation edit.
 """
 
+import contextlib
 import io
+import os
 import statistics
 import string
+import tempfile
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -118,12 +121,32 @@ def holter_parse(text: str):
     return outcome(lambda: parse_holter(io.StringIO(text))[1])
 
 
+@contextlib.contextmanager
+def written(text: str):
+    """The path of a temporary file holding the text's UTF-8 bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "F_42_221500.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        yield path
+
+
+def file_outcomes(text: str):
+    """parse_holter's outcome on the text written to a file, given the path,
+    and the row parser's on the text open() reads back (universal newlines)."""
+    with written(text) as path:
+        with open(path, encoding="utf-8") as fh:
+            read = fh.read()
+        return outcome(lambda: parse_holter(path)[1]), outcome(lambda: row_parse(read, path))
+
+
 # -- generated files ---------------------------------------------------------
 
 separators = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
 blank = st.sampled_from(["", " ", "\t", "  \t"])
+# Up to 15 characters: every width the table path takes.
 annotations = st.text(alphabet=string.ascii_letters + string.punctuation,
-                      min_size=1, max_size=3)
+                      min_size=1, max_size=15)
 clocks = st.one_of(
     st.builds("{:02d}:{:02d}:{:02d}.{:03d}".format, st.integers(0, 99),
               st.integers(0, 99), st.integers(0, 99), st.integers(0, 999)),
@@ -210,16 +233,28 @@ class TestBulkParse:
         for column in ("index", "time", "interval", "annotation", "edited"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
         assert series.records == expected.records
+        # The same text read from a path, where loadtxt opens the file itself.
+        with written(text) as path:
+            with open(path, encoding="utf-8") as fh:
+                fh.readline()
+                assert ingest._parse_table(fh, header, path) is not None
+            from_path = parse_holter(path)[1]
+        assert from_path == expected
+        assert from_path.annotation.dtype == expected.annotation.dtype
 
     @SETTINGS
     @given(text=corrupted_files())
     def test_same_outcome_on_corrupted_files(self, text):
         assert holter_parse(text) == outcome(lambda: row_parse(text))
+        got, expected = file_outcomes(text)
+        assert got == expected
 
     @SETTINGS
     @given(text=st.text(max_size=120))
     def test_same_outcome_on_any_text(self, text):
         assert holter_parse(text) == outcome(lambda: row_parse(text))
+        got, expected = file_outcomes(text)
+        assert got == expected
 
     def test_raw_seconds_clock_stays_on_table_path(self):
         body = "".join(f"{k} 00:00:0{k}.000 0.8 N\n" for k in range(1, 5))
