@@ -67,7 +67,8 @@ class BitSequence:
     def from_array(cls, arr) -> "BitSequence":
         """Build from a 1-D array or iterable of 0/1 values of any numeric or bool type."""
         arr = np.asarray(arr if isinstance(arr, np.ndarray) else list(arr))
-        bits = arr.astype(np.uint8)
+        with np.errstate(invalid="ignore"):  # NaN or inf fails the check below
+            bits = arr.astype(np.uint8)
         if arr.ndim != 1 or (bits > 1).any() or (bits != arr).any():
             raise ValueError("bits must be a 1-D array of 0s and 1s")
         return cls._wrap(bits)
@@ -160,10 +161,10 @@ def _check_count_args(max_len: int, mode: str) -> None:
         raise ValueError(f"mode must be one of {', '.join(COUNTINGS)}, got {mode!r}")
     if max_len < 1:
         raise ValueError(f"pattern length bound must be >= 1, got {max_len}")
-    if (1 << (max_len + 1)) > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"pattern length bound {max_len} needs {1 << (max_len + 1)} table "
-            f"entries, over the budget of {MAX_TABLE_ENTRIES}")
+    # Exponents, not 1 << max_len: an absurd bound must not build a huge int.
+    if max_len + 1 > (budget := MAX_TABLE_ENTRIES.bit_length() - 1):
+        raise ValueError(f"pattern length bound {max_len} needs 2**{max_len + 1} "
+                         f"table entries, over the budget of 2**{budget}")
 
 
 def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
@@ -267,9 +268,9 @@ def debruijn(order: int) -> BitSequence:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if (1 << order) > DEBRUIJN_BUDGET_BITS:
-        raise ValueError(f"order {order} yields {1 << order} bits, "
-                         f"over the budget of {DEBRUIJN_BUDGET_BITS}")
+    if order > (budget := DEBRUIJN_BUDGET_BITS.bit_length() - 1):
+        raise ValueError(f"order {order} yields 2**{order} bits, "
+                         f"over the budget of 2**{budget}")
     out = bytearray()
     word = bytearray(1)  # the Lyndon word "0"
     while True:

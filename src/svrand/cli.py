@@ -159,17 +159,20 @@ def _person_bits(path: str, config: RunConfig) -> tuple[PersonMeta, BitSequence]
     """One recording's identity and bits: parse, in med mode the nocturnal
     window and then editing, the normal beats, the discretizer, the cut."""
     meta, series = parse_holter(path, config.meta_pattern)
-    if config.mode == "med":
-        series = edit_perturbations(extract_nocturnal(series))
-    series = filter_normal(series)
-    if config.discretizer == "accel":
-        bits = discretize_accel(series, config.eta1)
-    elif config.discretizer == "rapid":
-        bits = discretize_rapid(series, config.eta2)
-    else:
-        bits = discretize_mono(series)
-    if config.cut is not None:
-        bits = cut_trends(bits, TrendCutPattern(*config.cut))
+    try:
+        if config.mode == "med":
+            series = edit_perturbations(extract_nocturnal(series))
+        series = filter_normal(series)
+        if config.discretizer == "accel":
+            bits = discretize_accel(series, config.eta1)
+        elif config.discretizer == "rapid":
+            bits = discretize_rapid(series, config.eta2)
+        else:
+            bits = discretize_mono(series)
+        if config.cut is not None:
+            bits = cut_trends(bits, TrendCutPattern(*config.cut))
+    except ValueError as exc:
+        raise ValueError(f"{meta.id}: {exc}") from exc
     return meta, bits
 
 
@@ -238,8 +241,9 @@ def _write_reports(out_dir: str, out_format: str, resolved: dict, stats, unknown
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    if args.cut:
+    # The analyze parser holds only the options given: RunConfig states the defaults.
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args}
+    if "cut" in settings:
         try:
             i, j = (int(part) for part in args.cut.split(","))
         except ValueError:
@@ -260,9 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        spec = SourceSpec(n=args.n, seed=args.seed,
-                          baseline=args.baseline, amplitude=args.amplitude,
-                          period=args.period, noise=args.noise)
+        spec = SourceSpec(n=args.n, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     write_holter(synthetic_rr(spec), args.output)
@@ -296,32 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", argument_default=argparse.SUPPRESS,
                        help="estimate epsilons for RR files")
     p.add_argument("inputs", nargs="+", metavar="FILE",
                    help="annotated RR files (globs allowed)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--discretizer", choices=DISCRETIZERS, default="accel",
-                   help="RR-to-bit rule (default accel)")
-    p.add_argument("--eta1", type=float, default=0.0,
+    p.add_argument("--discretizer", choices=DISCRETIZERS,
+                   help=f"RR-to-bit rule (default {RunConfig.discretizer})")
+    p.add_argument("--eta1", type=float,
                    help="offset in seconds for the accel discretizer")
-    p.add_argument("--eta2", type=float, default=None,
+    p.add_argument("--eta2", type=float,
                    help="threshold in seconds for the rapid discretizer")
-    p.add_argument("--cut", metavar="I,J", default=None,
-                   help="trend-cut run lengths, e.g. 3,3")
-    p.add_argument("--mode", choices=MODES, default=None,
+    p.add_argument("--cut", metavar="I,J", help="trend-cut run lengths, e.g. 3,3")
+    p.add_argument("--mode", choices=MODES,
                    help="experiment mode (default full, or cut with --cut)")
-    p.add_argument("--cyclic", dest="counting", action="store_const",
-                   const="cyclic", default="linear",
+    p.add_argument("--cyclic", dest="counting", action="store_const", const="cyclic",
                    help="count substrings with wrap-around")
-    p.add_argument("--h", default="auto",
-                   help="max history: auto, loglog, or an integer")
+    p.add_argument("--h", help="max history: auto, loglog, or an integer")
     p.add_argument("--force-h", action="store_true",
                    help="allow an explicit --h beyond floor(log2 n) - 1")
-    p.add_argument("--format", choices=FORMATS, default="both",
-                   help="report format(s)")
-    p.add_argument("--meta-pattern", default=DEFAULT_META_PATTERN,
-                   help="regex with sex/age groups for file names")
+    p.add_argument("--format", choices=FORMATS, help="report format(s)")
+    p.add_argument("--meta-pattern", help="regex with sex/age groups for file names")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth",
@@ -329,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="destination file")
     p.add_argument("--n", type=int, default=4096, help="number of beats")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline", type=float, default=0.9,
-                   help="mean interval, seconds")
-    p.add_argument("--amplitude", type=float, default=0.05,
-                   help="sine amplitude, seconds")
-    p.add_argument("--period", type=float, default=20.0,
-                   help="sine period, beats")
-    p.add_argument("--noise", type=float, default=0.01,
-                   help="uniform noise half-width, seconds")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("debruijn",

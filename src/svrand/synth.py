@@ -11,35 +11,24 @@ from svrand.ingest import _MS_PER_DAY, NORMAL_ANNOTATION, RRSeries
 
 __all__ = ["SourceSpec", "biased_coin", "synthetic_rr"]
 
+# The fixed shape of every synthetic series: mean interval and sine amplitude
+# (seconds), sine period (beats) and uniform noise half-width (seconds).
+BASELINE = 0.9
+AMPLITUDE = 0.05
+PERIOD = 20.0
+NOISE = 0.01
+
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Parameters of a deterministic synthetic RR series.
-
-    n beats from seed, shaped by baseline/amplitude/period/noise (seconds,
-    seconds, beats, seconds).
-    """
+    """A deterministic synthetic RR series: n >= 1 beats drawn from seed."""
 
     n: int
     seed: int
-    baseline: float = 0.9
-    amplitude: float = 0.05
-    period: float = 20.0
-    noise: float = 0.01
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if not np.isfinite([self.baseline, self.amplitude, self.period, self.noise]).all():
-            raise ValueError("baseline, amplitude, period and noise must be finite")
-        if self.amplitude < 0 or self.noise < 0:
-            raise ValueError("amplitude and noise must be >= 0")
-        if self.baseline <= self.amplitude + self.noise:
-            raise ValueError(
-                f"baseline {self.baseline} must exceed amplitude + noise "
-                f"{self.amplitude + self.noise} to keep intervals positive")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 def biased_coin(n: int, epsilon: float, seed: int) -> BitSequence:
@@ -55,14 +44,14 @@ def biased_coin(n: int, epsilon: float, seed: int) -> BitSequence:
 def synthetic_rr(spec: SourceSpec) -> RRSeries:
     """Sine-modulated RR series with uniform noise, all records annotated normal.
 
-    interval_i = baseline + amplitude * sin(2*pi*i/period) + U(-noise, +noise),
-    timestamps accumulate from midnight at millisecond precision.
+    interval_i = BASELINE + AMPLITUDE * sin(2*pi*i/PERIOD) + U(-NOISE, +NOISE)
+    for beats i = 1..n, the noise drawn from default_rng(seed); timestamps
+    accumulate from midnight at millisecond precision.
     """
     rng = np.random.default_rng(spec.seed)
     i = np.arange(1, spec.n + 1)
-    intervals = (spec.baseline
-                 + spec.amplitude * np.sin(2 * np.pi * i / spec.period)
-                 + rng.uniform(-spec.noise, spec.noise, spec.n))
+    intervals = (BASELINE + AMPLITUDE * np.sin(2 * np.pi * i / PERIOD)
+                 + rng.uniform(-NOISE, NOISE, spec.n))
     times_ms = np.round(np.cumsum(intervals) * 1000).astype(np.int64) % _MS_PER_DAY
     return RRSeries._from_columns(
         i, times_ms / 1000.0, intervals,

@@ -65,7 +65,8 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence.from_array(np.array([0, 2]))
 
-    @pytest.mark.parametrize("bits", [[2, 0, -1, 0.5], [2], [-1], [0.5], [[0, 1]]])
+    @pytest.mark.parametrize("bits", [[2, 0, -1, 0.5], [2], [-1], [0.5], [[0, 1]],
+                                      [0, float("nan")], np.array([1.0, -np.inf, np.inf])])
     def test_iterable_takes_the_array_rule(self, bits):
         with pytest.raises(ValueError, match="0s and 1s"):
             BitSequence.from_array(bits)
@@ -127,6 +128,9 @@ class TestCountSubstrings:
             count_substrings(s, 2, "ring")
         with pytest.raises(ValueError):
             count_substrings(s, 40)  # over the table memory budget
+        with pytest.raises(ValueError, match=r"needs 2\*\*10000000000000000001 table "
+                                             r"entries, over the budget of 2\*\*27"):
+            count_substrings_fast(s, 10 ** 19)
 
     def test_query_errors(self):
         table = count_substrings(BitSequence("0101"), 2)

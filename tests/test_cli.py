@@ -30,6 +30,12 @@ class TestDebruijnCommand:
     def test_bad_order_is_usage_error(self, capsys):
         assert main(["debruijn", "0"]) == 1
 
+    @pytest.mark.parametrize("order", ["27", "100000000000000000000"])
+    def test_order_over_budget_is_usage_error(self, capsys, order):
+        assert main(["debruijn", order]) == 1
+        assert capsys.readouterr().err == (f"svrand: error: order {order} yields "
+                                           f"2**{order} bits, over the budget of 2**26\n")
+
 
 class TestSynthCommand:
     def test_round_trips_through_parser(self, tmp_path, capsys):
@@ -43,15 +49,18 @@ class TestSynthCommand:
         b = synth_file(tmp_path, name="F_42_221501.txt", n=200, seed=9)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_shape_is_usage_error(self, tmp_path, capsys):
-        code = main(["synth", str(tmp_path / "x.txt"), "--baseline", "0.01"])
-        assert code == 1
-        assert "baseline" in capsys.readouterr().err
+    def test_shape_options_are_retired(self, tmp_path, capsys):
+        # The series' shape is fixed in svrand.synth; only --n and --seed vary it.
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(tmp_path / "x.txt"), "--baseline", "0.9"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --baseline 0.9" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
 
-    @pytest.mark.parametrize("option", ["--noise", "--period"])
-    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, option):
-        assert main(["synth", str(tmp_path / "x.txt"), option, "nan"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+    def test_zero_beats_is_usage_error(self, tmp_path, capsys):
+        # A file without records would not parse back.
+        assert main(["synth", str(tmp_path / "x.txt"), "--n", "0"]) == 1
+        assert capsys.readouterr().err == "svrand: error: n must be >= 1, got 0\n"
         assert not (tmp_path / "x.txt").exists()
 
 
@@ -411,6 +420,26 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--cyclic", "--h", "8", "--force-h",
                      "--out", str(tmp_path / "rep")]) == 2
         assert "L=9 for n=7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["100000", "100000000000000000000"])
+    def test_forced_history_over_table_budget_is_input_error(self, tmp_path, capsys, h):
+        path = synth_file(tmp_path)
+        assert main(["analyze", str(path), "--h", h, "--force-h",
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == (
+            f"svrand: input error: pattern length bound {int(h) + 1} needs "
+            f"2**{int(h) + 2} table entries, over the budget of 2**27\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_error_after_parsing_names_the_person(self, tmp_path, capsys):
+        # F_42_221500 spans about an hour, short of the six-hour night window.
+        data = Path(__file__).parent / "data"
+        assert main(["analyze", str(data / "F_42_221500.txt"), str(data / "M_30_000000.txt"),
+                     "--mode", "med", "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == (
+            "svrand: input error: F_42_221500: series spans 3685.6 s, shorter than "
+            "the 21600.0 s window\n")
+        assert not (tmp_path / "rep").exists()
 
     def test_too_few_bits_is_input_error(self, tmp_path, capsys):
         # Two beats give one acceleration bit; the estimator needs two.

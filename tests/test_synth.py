@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from svrand.synth import SourceSpec, biased_coin, synthetic_rr
-from svrand.transform import discretize_accel
 
 
 class TestBiasedCoin:
@@ -33,46 +32,33 @@ class TestBiasedCoin:
             biased_coin(-1, 0.1, seed=0)
 
 
-def rr_spec(**kw):
-    base = dict(n=200, seed=0, baseline=0.9,
-                amplitude=0.05, period=20.0, noise=0.01)
-    base.update(kw)
-    return SourceSpec(**base)
-
-
 class TestSyntheticRR:
-    def test_flat_spec_gives_constant_series(self):
-        series = synthetic_rr(rr_spec(amplitude=0.0, noise=0.0))
-        assert np.allclose(series.interval, 0.9)
-        assert str(discretize_accel(series)) == "0" * 199
-
-    def test_noiseless_bits_are_periodic(self):
-        spec = rr_spec(n=400, noise=0.0, period=20.0)
-        bits = str(discretize_accel(synthetic_rr(spec)))
-        assert bits == bits[:20] * (len(bits) // 20) + bits[:len(bits) % 20]
-        # independent oracle: sign pattern of the sine increments
-        i = np.arange(1, 401)
-        d = 0.9 + 0.05 * np.sin(2 * np.pi * i / 20.0)
-        expected = "".join("0" if b >= a else "1" for a, b in zip(d, d[1:]))
-        assert bits == expected
+    def test_intervals_follow_the_fixed_formula(self):
+        # The documented shape: baseline 0.9 s, amplitude 0.05 s, period 20
+        # beats, noise 0.01 s; clock times are the running sum, to the ms.
+        n, seed = 5000, 11
+        series = synthetic_rr(SourceSpec(n=n, seed=seed))
+        i = np.arange(1, n + 1)
+        u = np.random.default_rng(seed).uniform(-0.01, 0.01, n)
+        intervals = 0.9 + 0.05 * np.sin(2 * np.pi * i / 20.0) + u
+        clock_ms = np.round(np.cumsum(intervals) * 1000).astype(np.int64) % 86_400_000
+        assert series.index.tolist() == i.tolist()
+        assert series.interval.tobytes() == intervals.tobytes()
+        assert series.time.tobytes() == (clock_ms / 1000.0).tobytes()
 
     def test_seed_determinism(self):
-        assert synthetic_rr(rr_spec(seed=3)) == synthetic_rr(rr_spec(seed=3))
-        assert synthetic_rr(rr_spec(seed=3)) != synthetic_rr(rr_spec(seed=4))
+        assert synthetic_rr(SourceSpec(200, seed=3)) == synthetic_rr(SourceSpec(200, seed=3))
+        assert synthetic_rr(SourceSpec(200, seed=3)) != synthetic_rr(SourceSpec(200, seed=4))
 
     def test_records_are_normal_with_ms_times(self):
-        series = synthetic_rr(rr_spec(n=50))
+        series = synthetic_rr(SourceSpec(n=50, seed=0))
         assert all(r.annotation == "N" for r in series.records)
         for r in series.records:
             assert abs(r.time * 1000 - round(r.time * 1000)) < 1e-6
         assert (np.diff(series.elapsed()) > 0).all()
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            rr_spec(baseline=0.05)  # baseline must exceed amplitude + noise
-        with pytest.raises(ValueError):
-            rr_spec(period=0.0)
-        for field in ("baseline", "amplitude", "period", "noise"):
-            for value in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError, match="must be finite"):
-                    rr_spec(**{field: value})
+        # Every series has a beat, so every file synth writes parses back.
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                SourceSpec(n=n, seed=0)
