@@ -110,17 +110,23 @@ class CountTable:
     wrap; in cyclic mode the last position is followed by the first.  Counts
     are stored per length as a dense array indexed by the pattern value
     (first bit most significant), so "0" and "00" are distinct keys.
+
+    `levels` holds the longest len(levels) lengths (count_substrings_fast
+    keeps only max_len, 4 * 2**max_len bytes); `level` derives each shorter
+    one with `halve`, as a read-only array the table does not keep.  `last`
+    is the value of a linear sequence's last min(max_len, n) bits; cyclic
+    tables do not read it.
     """
 
-    __slots__ = ("max_len", "mode", "source_len", "_levels")
+    __slots__ = ("max_len", "mode", "source_len", "_levels", "_last")
 
     def __init__(self, max_len: int, mode: str, source_len: int,
-                 levels: list[np.ndarray]):
+                 levels: list[np.ndarray], last: int):
         if mode not in COUNTINGS:
             raise ValueError(f"mode must be one of {', '.join(COUNTINGS)}, got {mode!r}")
-        if len(levels) != max_len:
-            raise ValueError("one counts array per pattern length expected")
-        for h, lvl in enumerate(levels, start=1):
+        if not 1 <= len(levels) <= max_len:
+            raise ValueError("one counts array per stored pattern length expected")
+        for h, lvl in enumerate(levels, start=max_len - len(levels) + 1):
             if lvl.shape != (1 << h,):
                 raise ValueError(f"length-{h} level must have {1 << h} entries")
             lvl.flags.writeable = False
@@ -128,13 +134,39 @@ class CountTable:
         self.mode = mode
         self.source_len = source_len
         self._levels = levels
+        self._last = last
+
+    def halve(self, upper: np.ndarray, length: int, start: int = 0) -> np.ndarray:
+        """Counts of `length`-bit patterns from a run of the (length + 1)-bit ones.
+
+        A pattern's count is the sum of its two one-bit extensions, the run's
+        even and odd entries, plus in linear mode the window of the last
+        `length` bits, which nothing extends.  `start` is the value of the
+        run's first shorter pattern.
+        """
+        counts = np.add(upper[0::2], upper[1::2])
+        tail = (self._last & ((1 << length) - 1)) - start
+        if self.mode == "linear" and 1 <= length <= self.source_len and 0 <= tail < counts.size:
+            counts[tail] += 1
+        return counts
+
+    def _down(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(length, counts) from max_len down to 1, halving below the stored levels."""
+        length = self.max_len
+        for counts in reversed(self._levels):
+            yield length, counts
+            length -= 1
+        for length in range(length, 0, -1):
+            counts = self.halve(counts, length)
+            counts.flags.writeable = False
+            yield length, counts
 
     def level(self, length: int) -> np.ndarray:
         """All counts for patterns of the given length, indexed by value."""
         if not 1 <= length <= self.max_len:
             raise ValueError(
                 f"pattern length {length} outside table range 1..{self.max_len}")
-        return self._levels[length - 1]
+        return next(counts for h, counts in self._down() if h == length)
 
     def count(self, pattern: str) -> int:
         """Occurrences of a concrete pattern such as "01"."""
@@ -149,7 +181,7 @@ class CountTable:
                 and self.mode == other.mode
                 and self.source_len == other.source_len
                 and all(np.array_equal(a, b)
-                        for a, b in zip(self._levels, other._levels)))
+                        for (_, a), (_, b) in zip(self._down(), other._down())))
 
     def __repr__(self) -> str:
         return (f"CountTable(max_len={self.max_len}, mode={self.mode!r}, "
@@ -186,7 +218,7 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
             for pattern, cnt in tally.items():
                 counts[int(pattern, 2)] = cnt
         levels.append(counts)
-    return CountTable(max_len, mode, n, levels)
+    return CountTable(max_len, mode, n, levels, int(text[n - min(max_len, n):] or "0", 2))
 
 
 def _window_values(bits: np.ndarray, length: int) -> np.ndarray:
@@ -217,20 +249,17 @@ def _window_values(bits: np.ndarray, length: int) -> np.ndarray:
 def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
     """Production counter; output equals count_substrings(s, max_len, mode).
 
-    The length-L windows (L = max_len, or n when a linear sequence is
-    shorter) are counted in blocks of _BLOCK positions, so no array of all n
-    window values is ever built.  A block's values come from power-of-two
+    The table stores only length max_len, 4 * 2**max_len bytes of uint32
+    counts, and derives the shorter lengths on access.  The length-L windows
+    (L = max_len, or n when a linear sequence is shorter) are counted in
+    blocks of _BLOCK positions, so no array of all n window values is ever
+    built.  A block's values come from power-of-two
     windows in uint32 (see _window_values): about log2 L shift/or passes
-    instead of L - 1.  Each length has its own uint32 array, zero beyond a
-    linear sequence's n; np.add.at adds each block into the length-L one.
-    No count exceeds n, so n must be below 2**32.
-    Shorter lengths are filled in place by marginalising away the last bit:
-    level[h] is the strided add of level[h + 1]'s even and odd entries (the
-    two patterns that extend each one by a bit), which numpy runs at memory
-    speed, unlike a sum over a length-2 axis.  This misses only the window
-    starting at n - h: in linear mode that window, the last h bits, is added
-    back.  Cyclic mode counts the sequence with its first L - 1 bits
-    appended, so no window is missed; it needs L <= n.
+    instead of L - 1.  np.add.at adds each block into the stored level, which
+    stays zero if a linear sequence is shorter than max_len; the last window
+    gives the table's `last`.  No count exceeds n, so n must be below 2**32.
+    Cyclic mode counts the sequence with its first L - 1 bits appended, so
+    it needs L <= n.
     """
     _check_count_args(max_len, mode)
     bits = s.to_array()
@@ -243,19 +272,17 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
                 f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
         bits = np.concatenate([bits, bits[:max_len - 1]])
     top = min(max_len, n)
-    levels = [np.zeros(1 << h, dtype=np.uint32) for h in range(1, max_len + 1)]
+    counts = np.zeros(1 << max_len, dtype=np.uint32)
+    last = 0
     if top:
         windows = bits.size - top + 1
         for start in range(0, windows, _BLOCK):
             vals = _window_values(bits[start:min(start + _BLOCK, windows) + top - 1], top)
-            # A Python 1 would leave np.add.at's fast path for uint32.
-            np.add.at(levels[top - 1], vals, np.uint32(1))
-        last = int(vals[-1])  # in linear mode, the sequence's last `top` bits
-        for h in range(top - 1, 0, -1):
-            np.add(levels[h][0::2], levels[h][1::2], out=levels[h - 1])
-            if mode == "linear":
-                levels[h - 1][last & ((1 << h) - 1)] += 1
-    return CountTable(max_len, mode, n, levels)
+            if top == max_len:
+                # A Python 1 would leave np.add.at's fast path for uint32.
+                np.add.at(counts, vals, np.uint32(1))
+        last = int(vals[-1])
+    return CountTable(max_len, mode, n, [counts], last)
 
 
 def debruijn(order: int) -> BitSequence:

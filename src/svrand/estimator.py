@@ -27,8 +27,11 @@ __all__ = [
     "weighted_epsilon",
 ]
 
-# Histories epsilon_h takes at a time: its float buffer stays at 1 MiB.
+# Histories epsilon_h takes at a time, and epsilon_profile per piece of a
+# count level: the float buffer stays at 1 MiB.  epsilon_profile halves each
+# piece _PASS levels per pass; 2**_PASS must divide 2 * _CHUNK.
 _CHUNK = 1 << 16
+_PASS = 6
 
 
 def max_history(n: int) -> int:
@@ -75,6 +78,19 @@ class EpsilonProfile:
                 f"{max_history(self.n)} for n={self.n} without forced=True")
 
 
+def _worst_ratio(pairs: np.ndarray, den: np.ndarray, worst: float) -> float:
+    """max(worst, |pairs / den - 1/2|), pairs holding den's histories extended by 0 and 1.
+
+    A history that never occurs divides 0/0 = NaN, under the caller's
+    errstate, and np.fmax skips it.  x/0 with x > 0 cannot occur.
+    """
+    ratios = pairs.reshape(-1, 2) / den[:, None]
+    ratios -= 0.5
+    np.abs(ratios, out=ratios)
+    # An all-NaN chunk gives NaN, which never compares above worst.
+    return max(worst, float(np.fmax.reduce(ratios, axis=None)))
+
+
 def epsilon_h(counts: CountTable, h: int) -> float | None:
     """Worst next-bit deviation from 1/2 after histories of length h.
 
@@ -85,11 +101,12 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     zero count under an occurring history yields the maximal deviation 1/2.
 
     The maximum is taken over chunks of _CHUNK histories, each in one
-    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  The
-    ratios are divided without a mask: a history that never occurs gives
-    0/0 = NaN, which np.fmax skips when it takes the chunk's maximum.  Every
+    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  Every
     ratio sees the same float operations whatever the chunk, and the maximum
-    is exact, so the result does not depend on the chunk size.
+    is exact, so the result does not depend on the chunk size.  A table from
+    count_substrings_fast keeps only its longest level and derives levels h
+    and h + 1 on access; epsilon_profile takes the same steps walking down
+    from that level in pieces, and holds about 4 * 2**(H + 1) bytes.
     """
     if h < 0:
         raise ValueError(f"history length must be >= 0, got {h}")
@@ -99,17 +116,41 @@ def epsilon_h(counts: CountTable, h: int) -> float | None:
     den = counts.level(h) if h else np.array([counts.source_len])
     if not den.any():
         return None
-    pairs = counts.level(h + 1).reshape(-1, 2)
+    pairs = counts.level(h + 1)
     worst = 0.0
-    # Only 0/0 can occur, never x/0 with x > 0: count(history + bit) <= count(history).
     with np.errstate(invalid="ignore"):
         for start in range(0, den.size, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            ratios = pairs[chunk] / den[chunk, None]
-            ratios -= 0.5
-            np.abs(ratios, out=ratios)
-            # An all-NaN chunk gives NaN, which never compares above worst.
-            worst = max(worst, float(np.fmax.reduce(ratios, axis=None)))
+            worst = _worst_ratio(pairs[2 * start:2 * (start + _CHUNK)],
+                                 den[start:start + _CHUNK], worst)
+    return worst
+
+
+def _walk_down(counts: CountTable) -> list[float]:
+    """epsilon_h(counts, h) for h = 0..max_len - 1, but 0.0 where no history occurs.
+
+    Each pass cuts a level into pieces of 2 * _CHUNK counts and halves each
+    piece _PASS times, taking each level's ratios while the piece is in
+    cache; the halved pieces make the next pass's level, 2**_PASS times
+    smaller.  The top level is only read.  The counts and float operations
+    are epsilon_h's.
+    """
+    length = counts.max_len
+    upper = counts.level(length)
+    worst = [0.0] * length
+    with np.errstate(invalid="ignore"):
+        while length:
+            steps = min(_PASS, length)
+            coarse = np.empty(upper.size >> steps, dtype=upper.dtype)
+            size = min(2 * _CHUNK, upper.size)
+            for start in range(0, upper.size, size):
+                pairs = upper[start:start + size]
+                for h in range(length - 1, length - 1 - steps, -1):
+                    # Halving level 1 gives n in both modes: the h = 0 denominator.
+                    den = counts.halve(pairs, h, start >> (length - h))
+                    worst[h] = _worst_ratio(pairs, den, worst[h])
+                    pairs = den
+                coarse[start >> steps:(start + size) >> steps] = pairs
+            upper, length = coarse, length - steps
     return worst
 
 
@@ -119,7 +160,8 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
 
     H defaults to max_history(len(s)).  Larger requests are clamped back to
     that bound with a warning unless force_h is set, in which case the
-    override is recorded on the profile.
+    override is recorded on the profile.  Only the table's top level is
+    held, about 4 * 2**(H + 1) bytes, and _walk_down estimates from it.
     """
     n = len(s)
     bound = max_history(n)
@@ -134,8 +176,9 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
             f"requested history length {max_h} exceeds floor(log2 n) - 1 = {bound} "
             f"for n={n}; clamped to {bound}")
     use_h = bound if clamped else requested
-    counts = count_substrings_fast(s, use_h + 1, mode)
-    eps = tuple(epsilon_h(counts, h) for h in range(use_h + 1))
+    worst = _walk_down(count_substrings_fast(s, use_h + 1, mode))
+    # Every history length up to n occurs; only a forced linear H passes n.
+    eps = tuple(w if h <= n else None for h, w in enumerate(worst))
     return EpsilonProfile(epsilons=eps, max_h=use_h, n=n, mode=mode,
                           clamped=clamped, forced=forced)
 

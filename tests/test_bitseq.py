@@ -234,6 +234,63 @@ class TestCountSubstringsFast:
                     == count_substrings(s, max_len, "cyclic"))
 
 
+def lean_and_eager(text, max_len, mode):
+    """The counter's table, which stores only max_len, and the reference's, which stores all."""
+    s = BitSequence(text)
+    return count_substrings_fast(s, max_len, mode), count_substrings(s, max_len, mode)
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    def test_derived_levels_are_read_only_and_not_kept(self, mode):
+        table = count_substrings_fast(BitSequence("0010111011"), 8, mode)
+        for length in range(1, 9):
+            counts = table.level(length)
+            assert not counts.flags.writeable
+            with pytest.raises(ValueError):
+                counts[0] = 7
+        assert table.level(3) is not table.level(3)
+        assert table.level(3)[0] == table.count("000")
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text("01", max_size=40), max_len=st.integers(1, 12),
+           mode=st.sampled_from(bitseq.COUNTINGS))
+    def test_every_level_equals_the_reference(self, text, max_len, mode):
+        if mode == "cyclic" and max_len > len(text):
+            return
+        lean, eager = lean_and_eager(text, max_len, mode)
+        for length in range(1, max_len + 1):
+            assert np.array_equal(lean.level(length), eager.level(length))
+            if length > len(text):  # linear: no window this long
+                assert not lean.level(length).any()
+
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    @pytest.mark.parametrize("text", ["", "1", "0110", "0010111011", "1" * 9 + "0" * 7])
+    def test_count_agrees_for_every_short_pattern(self, text, mode):
+        if mode == "cyclic" and len(text) < 8:
+            return
+        lean, eager = lean_and_eager(text, 8, mode)
+        for length in range(1, 9):
+            for value in range(1 << length):
+                pattern = format(value, f"0{length}b")
+                assert lean.count(pattern) == eager.count(pattern)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text("01", max_size=30), max_len=st.integers(1, 9),
+           mode=st.sampled_from(bitseq.COUNTINGS), flip=st.integers(0, 29))
+    def test_equality_holds_both_ways(self, text, max_len, mode, flip):
+        if mode == "cyclic" and max_len > len(text):
+            return
+        lean, eager = lean_and_eager(text, max_len, mode)
+        assert lean == eager and eager == lean
+        if text:  # one flipped bit changes the count of "1"
+            i = flip % len(text)
+            other = text[:i] + "10"[int(text[i])] + text[i + 1:]
+            lean_other, eager_other = lean_and_eager(other, max_len, mode)
+            assert lean != eager_other and eager_other != lean
+            assert eager != lean_other and lean_other != eager
+
+
 class TestDebruijn:
     def test_known_orders(self):
         assert str(debruijn(1)) == "01"

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrand import estimator
-from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
+from svrand.bitseq import (COUNTINGS, BitSequence, CountTable, count_substrings,
+                           count_substrings_fast, debruijn)
 from svrand.estimator import (EpsilonProfile, epsilon_h, epsilon_profile,
                               history_weights, loglog_history, max_history,
                               weighted_epsilon)
@@ -252,12 +253,11 @@ class TestEpsilonProfile:
         assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
 
     def test_peak_memory_is_the_count_table(self):
-        # 2**22 bits: H = 21, so the table holds uint32 levels 1..22, 4 bytes
-        # per entry.  Neither the counter nor the estimator may hold a buffer
-        # that scales with n or 2**H beside it.
+        # 2**22 bits: H = 21, so the table stores only its top level, 2**22
+        # uint32 counts.  Neither the counter nor the walk down from the top
+        # may hold a buffer that scales with n or 2**H beside it.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
-        table_bytes = 4 * sum(1 << length for length in range(1, 23))
         tracemalloc.start()
         try:
             profile = epsilon_profile(s)
@@ -265,13 +265,70 @@ class TestEpsilonProfile:
         finally:
             tracemalloc.stop()
         assert profile.max_h == 21
-        assert peak < table_bytes + (8 << 20)
+        assert peak < 4 * (1 << 22) + (2 << 20)
 
     def test_profile_validates_range_and_bound(self):
         with pytest.raises(ValueError):
             EpsilonProfile(epsilons=(0.7,), max_h=0, n=4, mode="linear")
         with pytest.raises(ValueError):
             EpsilonProfile(epsilons=(0.1, 0.1, 0.1, 0.1), max_h=3, n=8, mode="linear")
+
+
+def bincount_table(bits, max_len, mode):
+    """An eager CountTable whose every level is np.bincount of that length's windows."""
+    n = bits.size
+    ext = np.concatenate([bits, bits[:max_len - 1]]) if mode == "cyclic" else bits
+    levels = []
+    for length in range(1, max_len + 1):
+        windows = n if mode == "cyclic" else n - length + 1
+        vals = np.zeros(windows, dtype=np.int64)
+        for i in range(length):
+            vals = (vals << 1) | ext[i:i + windows]
+        levels.append(np.bincount(vals, minlength=1 << length))
+    return CountTable(max_len, mode, n, levels, int(vals[-1]))
+
+
+class TestProfileWalk:
+    """epsilon_profile walks down from the top level; epsilon_h of an eager table is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(COUNTINGS),
+           case=st.sampled_from(["auto", "clamped", "forced", "past_n"]),
+           walk=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 3),
+                                 (estimator._CHUNK, estimator._PASS)]))
+    def test_equals_epsilon_h_of_reference(self, data, mode, case, walk):
+        # Small pieces and passes (2 * chunk counts, halved `pass` times)
+        # give small inputs many pieces, and tails outside the first one.
+        if case == "past_n":  # a forced linear H of at least n
+            mode = "linear"
+            text = data.draw(st.text("01", min_size=2, max_size=12))
+            max_h = data.draw(st.integers(len(text), len(text) + 3))
+        else:
+            text = data.draw(st.text("01", min_size=2, max_size=700))
+            bound = max_history(len(text))
+            # Cyclic counting needs H + 1 <= n.
+            most = bound + 3 if mode == "linear" else min(bound + 3, len(text) - 1)
+            max_h = None if case == "auto" else data.draw(st.integers(bound + 1, most))
+        s = BitSequence(text)
+        with warnings.catch_warnings(), \
+                mock.patch.multiple(estimator, _CHUNK=walk[0], _PASS=walk[1]):
+            warnings.simplefilter("ignore")
+            profile = epsilon_profile(s, max_h, mode, force_h=case != "clamped")
+        table = count_substrings(s, profile.max_h + 1, mode)
+        assert profile.epsilons == tuple(epsilon_h(table, h) for h in range(profile.max_h + 1))
+
+    @pytest.mark.parametrize("mode, end", [("linear", 0), ("linear", 1), ("cyclic", 1)])
+    def test_top_spanning_several_pieces(self, mode, end):
+        # 2**20 + 5 bits: H = 19, so the top level's 2**20 counts make eight
+        # pieces of 2 * _CHUNK.  Bits ending in 1s put the linear tail's
+        # history in the last piece at every length of the first pass; bits
+        # ending in 0s put it in the first.
+        bits = np.random.default_rng(20 + end).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
+        bits[-32:] = end
+        profile = epsilon_profile(BitSequence.from_array(bits), mode=mode)
+        table = bincount_table(bits, 20, mode)
+        assert profile.max_h == 19
+        assert profile.epsilons == tuple(epsilon_h(table, h) for h in range(20))
 
 
 class TestWeightedEpsilon:
