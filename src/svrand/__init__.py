@@ -4,8 +4,8 @@ from svrand.bitseq import (BitSequence, CountTable, count_substrings,
                            count_substrings_fast, debruijn)
 from svrand.cohort import (CohortStats, PersonResult, bucket, merge_persons,
                            quartiles, trim_to_min)
-from svrand.estimator import (EpsilonProfile, epsilon_h, epsilon_profile,
-                              max_history, weighted_epsilon)
+from svrand.estimator import (EpsilonProfile, epsilon_profile, max_history,
+                              weighted_epsilon)
 from svrand.ingest import (PersonMeta, RRRecord, RRSeries, edit_perturbations,
                            extract_nocturnal, filter_normal, parse_holter,
                            write_holter)
@@ -20,7 +20,6 @@ __all__ = [
     "count_substrings_fast",
     "debruijn",
     "EpsilonProfile",
-    "epsilon_h",
     "epsilon_profile",
     "max_history",
     "weighted_epsilon",

@@ -2,9 +2,13 @@
 
 For a history length h, the estimate is the worst absolute deviation from 1/2
 of the empirical next-bit ratio count(history + bit) / count(history), taken
-over all histories that actually occur.  The weighted aggregate averages the
-per-history estimates with harmonic weights, down-weighting long histories
-whose counts carry little statistical evidence.
+over all histories that actually occur.  Counts are raw overlapping
+occurrences: the empty history (h = 0) occurs n times, once per bit, and a
+history that ends a linear sequence counts without a successor.  A bit that
+never follows an occurring history gives the full deviation 1/2; where no
+history of a length occurs, the estimate is undefined.  The weighted
+aggregate averages the per-history estimates with harmonic weights,
+down-weighting long histories whose counts carry little statistical evidence.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from svrand.bitseq import BitSequence, CountTable, count_substrings_fast
+from svrand.bitseq import BitSequence, CountTable, _check_count_args, count_substrings_fast
 
 __all__ = [
     "EpsilonProfile",
-    "epsilon_h",
     "epsilon_profile",
     "history_weights",
     "loglog_history",
@@ -27,9 +30,9 @@ __all__ = [
     "weighted_epsilon",
 ]
 
-# Histories epsilon_h takes at a time, and epsilon_profile per piece of a
-# count level: the float buffer stays at 1 MiB.  epsilon_profile halves each
-# piece _PASS levels per pass; 2**_PASS must divide 2 * _CHUNK.
+# Histories per piece of a count level in epsilon_profile's walk: the float
+# buffer stays at 1 MiB.  Each piece is halved _PASS levels per pass;
+# 2**_PASS must divide 2 * _CHUNK.
 _CHUNK = 1 << 16
 _PASS = 6
 
@@ -91,48 +94,15 @@ def _worst_ratio(pairs: np.ndarray, den: np.ndarray, worst: float) -> float:
     return max(worst, float(np.fmax.reduce(ratios, axis=None)))
 
 
-def epsilon_h(counts: CountTable, h: int) -> float | None:
-    """Worst next-bit deviation from 1/2 after histories of length h.
-
-    Uses raw occurrence counts: the ratio for pattern w = history + bit is
-    count(w) / count(history); the empty history (h = 0) occurs n times, once
-    per bit.  Histories that never occur contribute no evidence and are
-    skipped; if none occurs the result is undefined (None).  A pattern with
-    zero count under an occurring history yields the maximal deviation 1/2.
-
-    The maximum is taken over chunks of _CHUNK histories, each in one
-    (chunk, 2) float buffer, so no buffer spans all 2**h histories.  Every
-    ratio sees the same float operations whatever the chunk, and the maximum
-    is exact, so the result does not depend on the chunk size.  A table from
-    count_substrings_fast keeps only its longest level and derives levels h
-    and h + 1 on access; epsilon_profile takes the same steps walking down
-    from that level in pieces, and holds about 4 * 2**(H + 1) bytes.
-    """
-    if h < 0:
-        raise ValueError(f"history length must be >= 0, got {h}")
-    if counts.max_len < h + 1:
-        raise ValueError(
-            f"count table covers lengths up to {counts.max_len}, need {h + 1}")
-    den = counts.level(h) if h else np.array([counts.source_len])
-    if not den.any():
-        return None
-    pairs = counts.level(h + 1)
-    worst = 0.0
-    with np.errstate(invalid="ignore"):
-        for start in range(0, den.size, _CHUNK):
-            worst = _worst_ratio(pairs[2 * start:2 * (start + _CHUNK)],
-                                 den[start:start + _CHUNK], worst)
-    return worst
-
-
 def _walk_down(counts: CountTable) -> list[float]:
-    """epsilon_h(counts, h) for h = 0..max_len - 1, but 0.0 where no history occurs.
+    """The estimate for h = 0..max_len - 1; where no history of a length occurs, it reads 0.0.
 
     Each pass cuts a level into pieces of 2 * _CHUNK counts and halves each
     piece _PASS times, taking each level's ratios while the piece is in
     cache; the halved pieces make the next pass's level, 2**_PASS times
-    smaller.  The top level is only read.  The counts and float operations
-    are epsilon_h's.
+    smaller.  The top level is only read.  Every ratio sees the same float
+    operations whatever the piece, and the maximum is exact, so the result
+    does not depend on _CHUNK or _PASS.
     """
     length = counts.max_len
     upper = counts.level(length)
@@ -176,9 +146,12 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
             f"requested history length {max_h} exceeds floor(log2 n) - 1 = {bound} "
             f"for n={n}; clamped to {bound}")
     use_h = bound if clamped else requested
-    worst = _walk_down(count_substrings_fast(s, use_h + 1, mode))
-    # Every history length up to n occurs; only a forced linear H passes n.
-    eps = tuple(w if h <= n else None for h, w in enumerate(worst))
+    # Linear levels above n hold only zeros, so a forced H past n counts to
+    # n + 1 and the longer histories, which never occur, are None.  The table
+    # budget still judges H + 1.
+    _check_count_args(use_h + 1, mode)
+    top = min(use_h + 1, n + 1) if mode == "linear" else use_h + 1
+    eps = (*_walk_down(count_substrings_fast(s, top, mode)), *(None,) * (use_h + 1 - top))
     return EpsilonProfile(epsilons=eps, max_h=use_h, n=n, mode=mode,
                           clamped=clamped, forced=forced)
 

@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrand import estimator
-from svrand.bitseq import (COUNTINGS, BitSequence, CountTable, count_substrings,
-                           count_substrings_fast, debruijn)
-from svrand.estimator import (EpsilonProfile, epsilon_h, epsilon_profile,
-                              history_weights, loglog_history, max_history,
-                              weighted_epsilon)
+from svrand.bitseq import COUNTINGS, BitSequence, CountTable, count_substrings, debruijn
+from svrand.estimator import (EpsilonProfile, epsilon_profile, history_weights,
+                              loglog_history, max_history, weighted_epsilon)
 from svrand.synth import biased_coin
 
 
@@ -44,7 +42,11 @@ def reference_epsilon(text, h):
 
 
 def one_buffer_epsilon(counts, h):
-    """epsilon_h for h >= 1 over all 2**h histories in one float buffer."""
+    """The h >= 1 estimate over all 2**h histories in one float buffer.
+
+    Divides only where the history occurs; None where none does, as past n
+    in linear mode.
+    """
     den = counts.level(h)
     occurring = den > 0
     if not occurring.any():
@@ -58,34 +60,38 @@ def one_buffer_epsilon(counts, h):
 
 def closed_form_eps0(counts):
     """The h = 0 estimate as its own formula: max |count(b) / n - 1/2|."""
-    n = counts.source_len
-    return float(np.max(np.abs(counts.level(1) / n - 0.5))) if n else None
+    return float(np.max(np.abs(counts.level(1) / counts.source_len - 0.5)))
+
+
+def oracle_epsilons(counts, max_h):
+    """The estimates for h = 0..max_h from a reference table that counts up to max_h + 1."""
+    return (closed_form_eps0(counts),
+            *(one_buffer_epsilon(counts, h) for h in range(1, max_h + 1)))
 
 
 class TestEpsilonH:
+    """The estimate at one history length h, read off epsilon_profile."""
+
     def test_constant_sequence_h0(self):
-        counts = count_substrings_fast(BitSequence("0000"), 1)
-        assert epsilon_h(counts, 0) == 0.5
+        assert epsilon_profile(BitSequence("0000")).epsilons[0] == 0.5
 
     def test_absent_pattern_gives_half(self):
         # "10" never occurs although history "1" does
-        counts = count_substrings_fast(BitSequence("0011"), 2)
-        assert epsilon_h(counts, 1) == 0.5
+        assert epsilon_profile(BitSequence("0011")).epsilons[1] == 0.5
 
     @pytest.mark.parametrize("order", [2, 3, 4, 6])
     def test_debruijn_cyclic_is_zero(self, order):
-        counts = count_substrings(debruijn(order), order, "cyclic")
-        for h in range(order):
-            assert epsilon_h(counts, h) == 0.0
+        profile = epsilon_profile(debruijn(order), mode="cyclic")
+        assert profile.epsilons == (0.0,) * order
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_enumeration_oracle(self, seed):
         rng = random.Random(seed)
         text = "".join(rng.choice("01") for _ in range(rng.randrange(2, 300)))
-        counts = count_substrings_fast(BitSequence(text), 6)
+        profile = epsilon_profile(BitSequence(text), 5, force_h=True)
         for h in range(6):
             expected = reference_epsilon(text, h)
-            got = epsilon_h(counts, h)
+            got = profile.epsilons[h]
             if expected is None:
                 assert got is None
             else:
@@ -95,66 +101,59 @@ class TestEpsilonH:
     def test_equals_division_over_occurring_histories(self, n):
         # Bit for bit the plain form: divide only where the history occurs.
         rng = np.random.default_rng(n)
-        counts = count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 12)
-        assert epsilon_h(counts, 0) == closed_form_eps0(counts)
+        s = BitSequence.from_array(rng.integers(0, 2, n))
+        profile = epsilon_profile(s, 11, force_h=True)
+        counts = count_substrings(s, 12)
+        assert profile.epsilons[0] == closed_form_eps0(counts)
         for h in range(1, 12):
             num = counts.level(h + 1).reshape(-1, 2)
             den = counts.level(h)
             seen = den > 0
             expected = (float(np.max(np.abs(num[seen] / den[seen, None] - 0.5)))
                         if seen.any() else None)
-            assert epsilon_h(counts, h) == expected
+            assert profile.epsilons[h] == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(chunk=st.sampled_from([1, 2, 7]),
-           text=st.text("01", min_size=1, max_size=200), max_len=st.integers(2, 9))
-    def test_chunks_equal_one_buffer(self, chunk, text, max_len):
-        counts = count_substrings_fast(BitSequence(text), max_len)
-        with mock.patch.object(estimator, "_CHUNK", chunk):
-            assert epsilon_h(counts, 0) == closed_form_eps0(counts)
-            for h in range(1, max_len):
-                assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
+    @given(walk=st.sampled_from([(1, 1), (2, 1), (2, 2), (7, 1), (4, 3)]),
+           text=st.text("01", min_size=2, max_size=200), max_h=st.integers(1, 8))
+    def test_chunks_equal_one_buffer(self, walk, text, max_h):
+        s = BitSequence(text)
+        whole = epsilon_profile(s, max_h, force_h=True)
+        with mock.patch.multiple(estimator, _CHUNK=walk[0], _PASS=walk[1]):
+            assert epsilon_profile(s, max_h, force_h=True) == whole
+        assert whole.epsilons == oracle_epsilons(count_substrings(s, max_h + 1), max_h)
 
     @pytest.mark.parametrize("chunk", [1, estimator._CHUNK])
     def test_never_occurring_histories_raise_no_float_error(self, chunk):
         # A history that never occurs divides 0/0; its NaN must stay inside
-        # epsilon_h, under a caller's strictest error state, and leave that
-        # state as it was.  With one history per chunk, whole chunks are NaN.
+        # epsilon_profile, under a caller's strictest error state, and leave
+        # that state as it was.  With one history per piece, whole pieces are NaN.
         rng = np.random.default_rng(9)
-        tables = [count_substrings_fast(BitSequence("01"), 6),
-                  count_substrings_fast(BitSequence("1" * 40), 6),
-                  *(count_substrings_fast(BitSequence.from_array(rng.integers(0, 2, n)), 10)
-                    for n in (25, 300, 2000))]
+        cases = [(BitSequence("01"), 5), (BitSequence("1" * 40), 5),
+                 *((BitSequence.from_array(rng.integers(0, 2, n)), 9) for n in (25, 300, 2000))]
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             state = np.geterr()
-            with mock.patch.object(estimator, "_CHUNK", chunk):
-                for counts in tables:
-                    assert epsilon_h(counts, 0) == closed_form_eps0(counts)
-                    for h in range(1, counts.max_len):
-                        assert epsilon_h(counts, h) == one_buffer_epsilon(counts, h)
+            with mock.patch.multiple(estimator, _CHUNK=chunk,
+                                     _PASS=1 if chunk == 1 else estimator._PASS):
+                for s, max_h in cases:
+                    profile = epsilon_profile(s, max_h, force_h=True)
+                    counts = count_substrings(s, max_h + 1)
+                    assert profile.epsilons == oracle_epsilons(counts, max_h)
             assert np.geterr() == state
 
     def test_empty_sequence_h0_is_undefined(self):
-        counts = count_substrings_fast(BitSequence(""), 1)
-        assert epsilon_h(counts, 0) is None
+        # No bit, no estimate: the profile refuses the sequence outright.
+        with pytest.raises(ValueError, match=r"must be >= 2, got 0"):
+            epsilon_profile(BitSequence(""))
 
     def test_undefined_when_no_history_occurs(self):
-        counts = count_substrings_fast(BitSequence("01"), 4)
-        assert epsilon_h(counts, 3) is None
+        assert epsilon_profile(BitSequence("01"), 3, force_h=True).epsilons[3] is None
 
     def test_tail_history_counts_in_denominator(self):
         # "00110" ends with "0": that occurrence has no successor bit, yet it
         # counts, so history "0" gives 1/3 and 1/3 rather than 1/2 and 1/2.
-        counts = count_substrings_fast(BitSequence("00110"), 2)
-        assert epsilon_h(counts, 1) == pytest.approx(1 / 6)
-
-    def test_requires_deep_enough_table(self):
-        counts = count_substrings_fast(BitSequence("0101"), 2)
-        with pytest.raises(ValueError):
-            epsilon_h(counts, 2)
-        with pytest.raises(ValueError):
-            epsilon_h(counts, -1)
+        assert epsilon_profile(BitSequence("00110")).epsilons[1] == pytest.approx(1 / 6)
 
 
 class TestMaxHistory:
@@ -233,6 +232,27 @@ class TestEpsilonProfile:
         with pytest.raises(ValueError, match=r"L=7 for n=4"):
             epsilon_profile(BitSequence("0110"), 6, mode="cyclic", force_h=True)
 
+    def test_forced_linear_past_n_counts_only_to_n_plus_one(self):
+        # Levels above n are zero in linear mode; a 2**25-entry table of them
+        # would be a 128 MiB peak.
+        tracemalloc.start()
+        try:
+            profile = epsilon_profile(BitSequence("0101"), 24, force_h=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.epsilons == (0.0, 0.5, 0.5, 0.5, 0.5) + (None,) * 20
+        assert peak < 1 << 20
+
+    def test_count_cap_keeps_the_forced_history_errors(self):
+        # The linear count stops at n + 1, but the table budget judges H + 1;
+        # cyclic counting is not capped and needs H + 1 <= n.
+        with pytest.raises(ValueError, match=(r"^pattern length bound 27 needs 2\*\*28 table "
+                                              r"entries, over the budget of 2\*\*27$")):
+            epsilon_profile(BitSequence("01"), 26, force_h=True)
+        with pytest.raises(ValueError, match=r"L=5 for n=4"):
+            epsilon_profile(BitSequence("0110"), 4, mode="cyclic", force_h=True)
+
     def test_smaller_request_allowed(self):
         profile = epsilon_profile(biased_coin(256, 0.0, 1), max_h=2)
         assert profile.max_h == 2 and not profile.clamped
@@ -289,14 +309,14 @@ def bincount_table(bits, max_len, mode):
 
 
 class TestProfileWalk:
-    """epsilon_profile walks down from the top level; epsilon_h of an eager table is its oracle."""
+    """epsilon_profile walks down from the top level; an eager table's oracle_epsilons check it."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), mode=st.sampled_from(COUNTINGS),
            case=st.sampled_from(["auto", "clamped", "forced", "past_n"]),
            walk=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 3),
                                  (estimator._CHUNK, estimator._PASS)]))
-    def test_equals_epsilon_h_of_reference(self, data, mode, case, walk):
+    def test_equals_reference_oracle(self, data, mode, case, walk):
         # Small pieces and passes (2 * chunk counts, halved `pass` times)
         # give small inputs many pieces, and tails outside the first one.
         if case == "past_n":  # a forced linear H of at least n
@@ -315,7 +335,7 @@ class TestProfileWalk:
             warnings.simplefilter("ignore")
             profile = epsilon_profile(s, max_h, mode, force_h=case != "clamped")
         table = count_substrings(s, profile.max_h + 1, mode)
-        assert profile.epsilons == tuple(epsilon_h(table, h) for h in range(profile.max_h + 1))
+        assert profile.epsilons == oracle_epsilons(table, profile.max_h)
 
     @pytest.mark.parametrize("mode, end", [("linear", 0), ("linear", 1), ("cyclic", 1)])
     def test_top_spanning_several_pieces(self, mode, end):
@@ -328,7 +348,7 @@ class TestProfileWalk:
         profile = epsilon_profile(BitSequence.from_array(bits), mode=mode)
         table = bincount_table(bits, 20, mode)
         assert profile.max_h == 19
-        assert profile.epsilons == tuple(epsilon_h(table, h) for h in range(20))
+        assert profile.epsilons == oracle_epsilons(table, 19)
 
 
 class TestWeightedEpsilon:
