@@ -18,8 +18,8 @@ __all__ = [
     "DEBRUIJN_BUDGET_BITS",
 ]
 
-# Dense count tables hold 2^(L+1) integers; refuse lengths that would not fit
-# comfortably in memory.
+# count_substrings_fast stores 2^L uint32 counts, but a length L is refused where
+# the eager reference table's 2^(L+1) integers would not fit comfortably in memory.
 MAX_TABLE_ENTRIES = 1 << 27
 
 # Ceiling on generated De Bruijn sequence length (in bits).

@@ -100,9 +100,10 @@ def _walk_down(counts: CountTable) -> list[float]:
     Each pass cuts a level into pieces of 2 * _CHUNK counts and halves each
     piece _PASS times, taking each level's ratios while the piece is in
     cache; the halved pieces make the next pass's level, 2**_PASS times
-    smaller.  The top level is only read.  Every ratio sees the same float
-    operations whatever the piece, and the maximum is exact, so the result
-    does not depend on _CHUNK or _PASS.
+    smaller.  The top level is only read.  No deviation exceeds 1/2, so once
+    a level has reached 1/2 its later pieces are only halved.  Every ratio
+    sees the same float operations whatever the piece, and the maximum is
+    exact, so the result does not depend on _CHUNK or _PASS.
     """
     length = counts.max_len
     upper = counts.level(length)
@@ -117,7 +118,8 @@ def _walk_down(counts: CountTable) -> list[float]:
                 for h in range(length - 1, length - 1 - steps, -1):
                     # Halving level 1 gives n in both modes: the h = 0 denominator.
                     den = counts.halve(pairs, h, start >> (length - h))
-                    worst[h] = _worst_ratio(pairs, den, worst[h])
+                    if worst[h] < 0.5:  # each ratio lies in [0, 1]
+                        worst[h] = _worst_ratio(pairs, den, worst[h])
                     pairs = den
                 coarse[start >> steps:(start + size) >> steps] = pairs
             upper, length = coarse, length - steps

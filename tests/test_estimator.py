@@ -350,6 +350,58 @@ class TestProfileWalk:
         assert profile.max_h == 19
         assert profile.epsilons == oracle_epsilons(table, 19)
 
+    def test_saturated_level_is_divided_once(self):
+        # The first pass over 2**20 + 5 random bits (H = 19) takes levels
+        # 19..14 in eight pieces each.  Level 19's histories occur about twice,
+        # so its first piece already holds a deviation of 1/2; level 14's occur
+        # about 64 times, and it never reaches 1/2.
+        bits = np.random.default_rng(20).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
+        table = bincount_table(bits, 20, "linear")
+        assert np.nanmax(history_deviations(table, 19)[:estimator._CHUNK]) == 0.5
+        assert np.nanmax(history_deviations(table, 14)) < 0.5
+        # The level of each division: _worst_ratio(pairs, den, ...) takes the
+        # den that CountTable.halve(pairs, h, ...) has just returned.
+        level_of = {}
+        halve = CountTable.halve
+
+        def spy_halve(self, upper, length, start=0):
+            den = halve(self, upper, length, start)
+            level_of[id(den)] = (length, den)  # holding den keeps its id unique
+            return den
+
+        with mock.patch.object(CountTable, "halve", spy_halve), \
+                mock.patch.object(estimator, "_worst_ratio",
+                                  wraps=estimator._worst_ratio) as ratio:
+            profile = epsilon_profile(BitSequence.from_array(bits))
+        divided = [level_of[id(c.args[1])][0] for c in ratio.call_args_list]
+        assert divided.count(19) == 1
+        assert divided.count(14) == 8
+        assert profile.epsilons == oracle_epsilons(table, 19)
+
+    @pytest.mark.parametrize("walk", [(2, 2), (1, 1)])
+    def test_late_saturation_is_exact(self, walk):
+        # 32 bits, H = 4.  At both walks each piece of level 3 holds one
+        # history.  Level 3's only one-sided history, 111, is in its last
+        # piece; level 4 reaches 1/2 at its first history, 0000.  A walk that
+        # stops dividing a level after its first piece, or once the level
+        # above has reached 1/2, reads level 3 below 1/2.
+        s = BitSequence("01011001010110000110011011100100")
+        table = count_substrings(s, 5)
+        below = history_deviations(table, 3)
+        assert below[-1] == 0.5 and below[:-1].max() < 0.5
+        assert history_deviations(table, 4)[0] == 0.5
+        with mock.patch.multiple(estimator, _CHUNK=walk[0], _PASS=walk[1]):
+            profile = epsilon_profile(s)
+        assert profile.max_h == 4
+        assert profile.epsilons == oracle_epsilons(table, 4)
+
+
+def history_deviations(table, h):
+    """Each length-h history's worst next-bit deviation; NaN where it never occurs."""
+    pairs = table.level(h + 1).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):
+        return np.abs(pairs / table.level(h)[:, None] - 0.5).max(axis=1)
+
 
 class TestWeightedEpsilon:
     def test_constant_profiles(self):
