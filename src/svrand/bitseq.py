@@ -69,7 +69,9 @@ class BitSequence:
         arr = np.asarray(arr if isinstance(arr, np.ndarray) else list(arr))
         with np.errstate(invalid="ignore"):  # NaN or inf fails the check below
             bits = arr.astype(np.uint8)
-        if arr.ndim != 1 or (bits > 1).any() or (bits != arr).any():
+        # Only a uint8 or bool input is sure to survive the cast unchanged.
+        exact = arr.dtype in (np.uint8, np.bool_)
+        if arr.ndim != 1 or (bits > 1).any() or (not exact and (bits != arr).any()):
             raise ValueError("bits must be a 1-D array of 0s and 1s")
         return cls._wrap(bits)
 
@@ -221,45 +223,20 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
     return CountTable(max_len, mode, n, levels, int(text[n - min(max_len, n):] or "0", 2))
 
 
-def _window_values(bits: np.ndarray, length: int) -> np.ndarray:
-    """uint32 value of every length-`length` window of `bits`, first bit most significant.
-
-    A window of length 2w is two windows of length w, w apart, so lengths
-    1, 2, 4, ... cost one shift/or pass each; the requested length is then
-    joined from the power-of-two windows its binary form names.
-    """
-    windows = bits.size - length + 1
-    # _check_count_args keeps lengths below 32 bits.
-    pow_win = bits.astype(np.uint32)  # windows of length `width`
-    vals = np.zeros(windows, dtype=np.uint32)
-    width, covered = 1, 0
-    while True:
-        if length & width:
-            vals <<= width
-            vals |= pow_win[covered:covered + windows]
-            covered += width
-        if 2 * width > length:
-            return vals
-        doubled = pow_win[:-width] << width
-        doubled |= pow_win[width:]
-        pow_win = doubled
-        width *= 2
-
-
 def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
     """Production counter; output equals count_substrings(s, max_len, mode).
 
     The table stores only length max_len, 4 * 2**max_len bytes of uint32
     counts, and derives the shorter lengths on access.  The length-L windows
-    (L = max_len, or n when a linear sequence is shorter) are counted in
-    blocks of _BLOCK positions, so no array of all n window values is ever
-    built.  A block's values come from power-of-two
-    windows in uint32 (see _window_values): about log2 L shift/or passes
-    instead of L - 1.  np.add.at adds each block into the stored level, which
-    stays zero if a linear sequence is shorter than max_len; the last window
-    gives the table's `last`.  No count exceeds n, so n must be below 2**32.
-    Cyclic mode counts the sequence with its first L - 1 bits appended, so
-    it needs L <= n.
+    (L = max_len, or n when a linear sequence is shorter) are read from the
+    bits packed 8 to a byte: the big-endian 64-bit word at byte j holds the
+    eight windows that start at bits 8j..8j+7, each one shift and mask away.
+    Words are read _BLOCK // 8 bytes at a time, so no array of all n window
+    values is ever built.  np.add.at adds each block into the stored level,
+    which stays zero if a linear sequence is shorter than max_len; the last
+    window gives the table's `last`.  No count exceeds n, so n must be below
+    2**32.  Cyclic mode counts the sequence with its first L - 1 bits
+    appended, so it needs L <= n.
     """
     _check_count_args(max_len, mode)
     bits = s.to_array()
@@ -273,15 +250,32 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
         bits = np.concatenate([bits, bits[:max_len - 1]])
     top = min(max_len, n)
     counts = np.zeros(1 << max_len, dtype=np.uint32)
-    last = 0
-    if top:
-        windows = bits.size - top + 1
-        for start in range(0, windows, _BLOCK):
-            vals = _window_values(bits[start:min(start + _BLOCK, windows) + top - 1], top)
-            if top == max_len:
-                # A Python 1 would leave np.add.at's fast path for uint32.
-                np.add.at(counts, vals, np.uint32(1))
-        last = int(vals[-1])
+    if not top:
+        return CountTable(max_len, mode, n, [counts], 0)
+    # Word j is bytes j..j+7 of the packed bits; the zero bytes let every
+    # byte of the sequence start a word.  _check_count_args keeps L <= 26,
+    # so a window never leaves its word and its value fits in uint32.
+    packed = np.concatenate([np.packbits(bits), np.zeros(8, dtype=np.uint8)])
+    words = np.ndarray(packed.size - 8, dtype=">u8", buffer=packed, strides=(1,))
+    windows = bits.size - top + 1
+    mask = (1 << top) - 1
+    if top == max_len:
+        step = max(1, _BLOCK // 8)
+        vals = np.empty(8 * step, dtype=np.uint32)
+        for first in range(0, (windows + 7) // 8, step):
+            block = words[first:first + step].astype(np.uint64)
+            filled = 0
+            for r in range(8):
+                # Offset r has a window in the words before (windows - r + 7) // 8.
+                part = block[:(windows - r + 7) // 8 - first]
+                np.right_shift(part, np.uint64(64 - top - r), casting="unsafe",
+                               out=vals[filled:filled + part.size])
+                filled += part.size
+            np.bitwise_and(vals[:filled], np.uint32(mask), out=vals[:filled])
+            # A Python 1 would leave np.add.at's fast path for uint32.
+            np.add.at(counts, vals[:filled], np.uint32(1))
+    j, r = divmod(windows - 1, 8)
+    last = int(words[j]) >> (64 - top - r) & mask
     return CountTable(max_len, mode, n, [counts], last)
 
 

@@ -76,32 +76,31 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
 
     A search lands on the head of the next run of its bit that is at least
     a window long.  So the pass cuts a window from each such run whose bit
-    differs from the previous such run's, taking a 0 before the first.  The
-    kept bits are a bool mask, cleared one window offset at a time.
+    differs from the previous such run's, taking a 0 before the first.
+    These heads come from one run-start mask, True past the end, by clearing
+    each start that another start follows within its run's window; a run of
+    the shorter window's bit is checked only that far.  The selected heads
+    alternate 1-run, 0-run, ..., from a 1-run, so the even ones take the
+    accel windows and the odd ones the decel windows.  The heads' bool array
+    is then the mask of bits to keep, cleared one window offset at a time.
     """
     a = s.to_array().view(bool)  # the bits are 0s and 1s
-    starts = np.flatnonzero(_long_run_heads(a, pattern.accel)
-                            | _long_run_heads(~a, pattern.decel))
-    ones = a[starts]
-    cut = np.diff(ones, prepend=False)
-    starts, ones = starts[cut], ones[cut]
-    keep = np.ones_like(a)
-    for heads, length in ((starts[ones], pattern.accel), (starts[~ones], pattern.decel)):
+    n = a.size
+    short, long = sorted((pattern.accel, pattern.decel))
+    starts = np.ones(n + long - 1, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:n])
+    heads = starts[:n].copy()
+    for k in range(1, long):
+        stop = starts[k:k + n]
+        if k >= short:  # runs of the shorter window's bit have passed their check
+            stop = stop & a if pattern.accel > pattern.decel else stop > a
+        np.greater(heads, stop, out=heads)
+    starts = stop = None  # free the mask before the heads get positions
+    pos = np.flatnonzero(heads)
+    pos = pos[np.diff(a[pos], prepend=False)]
+    keep = heads  # the heads have their positions
+    keep.fill(True)
+    for first, length in ((pos[0::2], pattern.accel), (pos[1::2], pattern.decel)):
         for k in range(length):
-            keep[heads + k] = False
+            keep[first + k] = False
     return BitSequence._wrap(a[keep].view(np.uint8))
-
-
-def _long_run_heads(a: np.ndarray, length: int) -> np.ndarray:
-    """True where a run of at least `length` Trues starts in the bool array `a`.
-
-    In-place ANDs with shifted views narrow the run starts to these heads, so
-    that only they get positions and no array of positions spans every run.
-    """
-    heads = np.empty_like(a)
-    heads[:1] = a[:1]
-    np.greater(a[1:], a[:-1], out=heads[1:])
-    for k in range(1, length):
-        heads[:-k] &= a[k:]
-        heads[-k:] = False
-    return heads

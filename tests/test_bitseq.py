@@ -71,6 +71,23 @@ class TestBitSequence:
         with pytest.raises(ValueError, match="0s and 1s"):
             BitSequence.from_array(bits)
 
+    @pytest.mark.parametrize("arr", [np.array([0, 256], dtype=np.int64), np.array([0.5]),
+                                     np.array([np.nan]), np.zeros((2, 2), dtype=np.uint8),
+                                     np.array([0, 2], dtype=np.uint8)],
+                             ids=["int64-256", "half", "nan", "uint8-2d", "uint8-2"])
+    def test_arrays_of_every_dtype_are_checked(self, arr):
+        # uint8 and bool inputs skip the round-trip comparison, not the rest.
+        with pytest.raises(ValueError, match="0s and 1s"):
+            BitSequence.from_array(arr)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_exact_dtypes_are_copied(self, dtype):
+        arr = np.array([0, 1, 1], dtype=dtype)
+        s = BitSequence.from_array(arr)
+        arr[0] = 1
+        assert str(s) == "011"
+        assert arr.flags.writeable
+
     def test_iterable_of_bools_and_ints(self):
         assert BitSequence.from_array([True, False, 1, 0]) == BitSequence("1010")
         assert BitSequence.from_array(iter([0, 1])) == BitSequence("01")
@@ -222,6 +239,31 @@ class TestCountSubstringsFast:
             if max_len <= n:
                 assert (count_substrings_fast(s, max_len, "cyclic")
                         == count_substrings(s, max_len, "cyclic"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=st.sampled_from([1, 2, 7, 8, 9, 16, 25]), k=st.integers(1, 4),
+           edge=st.integers(-8, 8), mode=st.sampled_from(bitseq.COUNTINGS), data=st.data())
+    def test_every_bit_offset_near_block_edges(self, block, k, edge, mode, data):
+        # Words are read max(1, _BLOCK // 8) bytes at a time, each holding the
+        # windows of 8 bit offsets, so n takes every residue mod 8 around a
+        # multiple of the block size; 16 and 25 give blocks of 2 and 3 bytes.
+        n = max(1, k * block + edge)
+        max_len = data.draw(st.integers(1, min(n, 12)))
+        s = BitSequence(data.draw(st.text("01", min_size=n, max_size=n)))
+        with mock.patch.object(bitseq, "_BLOCK", block):
+            assert count_substrings_fast(s, max_len, mode) == count_substrings(s, max_len, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.sampled_from([1, 2, 7, 8, 9]), text=st.text("01", min_size=1, max_size=30),
+           max_len=st.integers(1, 12))
+    def test_linear_last_is_the_last_window(self, block, text, max_len):
+        # The table's `last` is the value of the last min(max_len, n) bits;
+        # below max_len bits the stored level gets nothing added.
+        with mock.patch.object(bitseq, "_BLOCK", block):
+            table = count_substrings_fast(BitSequence(text), max_len)
+        assert table._last == int(text[-min(max_len, len(text)):], 2)
+        if len(text) < max_len:
+            assert not table.level(max_len).any()
 
     @settings(max_examples=100, deadline=None)
     @given(block=st.sampled_from([1, 2, 7]), text=st.text("01", min_size=2, max_size=14),

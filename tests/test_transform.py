@@ -120,6 +120,13 @@ def reference_cut(text, i, j):
     return kept, cycles, dangling
 
 
+# Window pairs whose windows differ by much, by one, or not at all, and
+# prefixes that put the last run after runs of every kind.
+EDGE_PATTERNS = [(1, 3), (3, 1), (2, 5), (5, 2), (3, 3)]
+EDGE_PREFIXES = ["", "0", "1", "110", "0111", "1110001", "1101100100", "0011100011110",
+                 "111110000011111"]
+
+
 def is_subsequence(short, long):
     it = iter(long)
     return all(c in it for c in short)
@@ -198,11 +205,12 @@ class TestCutTrends:
     def test_peak_memory_per_input_bit(self):
         # At (3,3) an eighth of a coin's bits head a qualifying run, so their
         # int64 positions take about 1 byte per bit, and the half kept by the
-        # type-change step half that.  Three bool arrays of 1 byte per bit
-        # meet at the `|` of the run heads; at the end the bool keep mask,
-        # the output and the kept positions take about 3.  No
-        # array of positions may span every run: int64 positions of all run
-        # starts alone take 4 bytes per bit.
+        # type-change step half that.  The run-start mask and the heads take
+        # 1 byte per bit each, and the mask is gone before the positions are
+        # taken; at the end the heads, now the keep mask, the output and the
+        # kept positions take about 2.5.  No array of positions may span
+        # every run: int64 positions of all run starts alone take 4 bytes
+        # per bit.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
@@ -212,6 +220,25 @@ class TestCutTrends:
         finally:
             tracemalloc.stop()
         assert peak < 5 * len(s)
+
+    @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
+    @pytest.mark.parametrize("bit", "01")
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_last_run_one_off_its_window(self, accel, decel, bit, extra):
+        # Positions past the end count as run starts, so a last run one bit
+        # short of its window must not qualify, and one exactly a window long
+        # must.
+        length = (accel if bit == "1" else decel) + extra
+        for prefix in EDGE_PREFIXES:
+            text = prefix.rstrip(bit) + bit * length
+            out = cut_trends(BitSequence(text), TrendCutPattern(accel, decel))
+            assert str(out) == reference_cut(text, accel, decel)[0], text
+
+    @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
+    def test_one_repeated_bit(self, accel, decel):
+        for text in ["", "0", "1"] + [bit * n for bit in "01" for n in range(2, 13)]:
+            out = cut_trends(BitSequence(text), TrendCutPattern(accel, decel))
+            assert str(out) == reference_cut(text, accel, decel)[0], text
 
     @pytest.mark.parametrize("i,j", [(3, 3), (6, 6)])
     def test_long_seeded_sequence(self, i, j):
