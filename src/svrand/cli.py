@@ -227,16 +227,21 @@ def _write_reports(out_dir: str, out_format: str, resolved: dict, stats, unknown
     if out_format in ("json", "both"):
         files.append(("report.json" if results is not None else "cohorts.json",
                       render_json(results or [], stats, unknown, resolved)))
-    for name, text in files:
-        # Written whole or not at all: a failed write leaves any earlier
-        # report in place and removes its temporary file.
-        path = out / name
-        tmp = out / f".{name}.{os.getpid()}.tmp"
-        try:
+    # Every report goes to a temporary file before any is renamed, so a
+    # failed write leaves the earlier set of reports whole; no temporary
+    # file is left behind.
+    staged = []
+    try:
+        for name, text in files:
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            staged.append((tmp, out / name))
             tmp.write_text(text, encoding="utf-8")
+        for tmp, path in staged:
             os.replace(tmp, path)
-        finally:
+    finally:
+        for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+    for _, path in staged:
         print(path)
 
 

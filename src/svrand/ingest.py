@@ -2,7 +2,7 @@
 
 File layout: one header line, then whitespace-separated rows of
 (index, time of day, RR interval in seconds, annotation).  Person metadata
-(sex and age) is carried by the file name.
+(sex and age) is carried by the file name; files are read and written by path.
 
 A series holds one numpy column per field; `RRRecord` is the row type for
 building small series by hand and for reading rows back.
@@ -10,7 +10,6 @@ building small series by hand and for reading rows back.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import re
@@ -247,33 +246,39 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 3 (interval): {exc}") from None
 
 
-def _parse_table(stream, header: str, path: str | None = None) -> RRSeries | None:
-    """The rows of the rest of a seekable text stream, read as one table.
+def _parse_table(path: str) -> RRSeries | None:
+    """The rows after the file's header line, read as one table.
 
     Returns None unless the result provably equals what `_parse_row` makes
-    of each non-blank line: the text is printable ASCII with tab and
-    newline, where `np.loadtxt` breaks lines and fields as `str.splitlines`
-    and `str.split` do; every line has four fields that `loadtxt` converts
-    as `int()` and `float()` would; every clock converts; the interval is
-    positive and finite; and no field was cut to its width.  Given `path`,
-    the file that `stream` reads, `loadtxt` reads the file itself, in large
-    chunks, from its second line (see `parse_holter`).
+    of each non-blank line: the header is one line to `str.splitlines`; the
+    rest is printable ASCII with tab and newline, where `np.loadtxt` breaks
+    lines and fields as `str.splitlines` and `str.split` do; every line has
+    four fields that `loadtxt` converts as `int()` and `float()` would;
+    every clock converts; the interval is positive and finite; and no field
+    was cut to its width.  `loadtxt` reads the file itself, in large chunks,
+    so names ending in .gz, .bz2, .xz or .lzma, which numpy would
+    decompress, give None too.  A relative path goes to numpy behind "./",
+    which numpy never takes for a URL.
     """
-    start = stream.tell()
-    while piece := stream.read(1 << 16):
-        if not piece.isascii() or piece.encode("ascii").translate(None, _PLAIN):
+    if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
+        return None
+    with open(path, encoding="utf-8") as stream:
+        lines = stream.readline().splitlines()
+        if len(lines) != 1:
             return None
-    stream.seek(start)
+        while piece := stream.read(1 << 16):
+            if not piece.isascii() or piece.encode("ascii").translate(None, _PLAIN):
+                return None
     try:
         with warnings.catch_warnings():
             # An empty table warns.  Older numpy reads "1e3" or "1.0" as an
             # integer after a DeprecationWarning; int() rejects both.
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(stream if path is None else path, dtype=_ROW, comments=None,
-                              ndmin=1, skiprows=0 if path is None else 1, encoding="utf-8")
+            rows = np.loadtxt(os.path.join(os.curdir, path), dtype=_ROW, comments=None,
+                              ndmin=1, skiprows=1, encoding="utf-8")
     except (ValueError, DeprecationWarning, OSError):
-        # OSError: numpy could not open the path again; the stream still reads.
+        # OSError: numpy could not open the path again; open() still reads it.
         return None
 
     interval = rows["interval"].copy()
@@ -310,14 +315,18 @@ def _parse_table(stream, header: str, path: str | None = None) -> RRSeries | Non
     except (ValueError, OverflowError):
         return None
     return RRSeries._from_columns(index, time, interval, annotation,
-                                  np.zeros(rows.size, dtype=bool), header=header)
+                                  np.zeros(rows.size, dtype=bool), header=lines[0])
 
 
-def _parse_rows(lines: list[str], header: str, name: str) -> RRSeries:
-    """Lines parsed one by one, numbered from 2; all failures raised together."""
+def _parse_rows(path: str) -> RRSeries:
+    """Lines after the header parsed one by one, numbered from 2; all failures raised together."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise HolterFormatError(f"{path}: empty file")
     records = []
     problems = []
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
@@ -327,8 +336,8 @@ def _parse_rows(lines: list[str], header: str, name: str) -> RRSeries:
     if problems:
         shown = "; ".join(problems[:5])
         extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise HolterFormatError(f"{name}: {shown}{extra}")
-    return RRSeries(records, header)
+        raise HolterFormatError(f"{path}: {shown}{extra}")
+    return RRSeries(records, lines[0])
 
 
 def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMeta:
@@ -352,58 +361,38 @@ def parse_meta(name: str, meta_pattern: str = DEFAULT_META_PATTERN) -> PersonMet
 
 def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
-    """Read one annotated RR file.
+    """Read one annotated RR file, given its path as a str or `os.PathLike`.
 
-    Accepts a path or a seekable text stream, read from its current
-    position.  The rows are read as one table with `np.loadtxt` when that
-    provably gives the row parser's result.  Otherwise the whole text is
-    read again and parsed line by line, and all malformed rows are reported
-    together, each with its line number.
-
-    `loadtxt` reads a path itself, in large chunks, unless its name ends in
-    .gz, .bz2, .xz or .lzma, which numpy would decompress.  A relative path
-    goes to numpy behind "./", which numpy never takes for a URL.
+    The rows are read as one table with `np.loadtxt` when that provably
+    gives the row parser's result.  Otherwise the text is read again and
+    parsed line by line, and all malformed rows are reported together, each
+    with its line number.
     """
-    named = isinstance(source, (str, Path))
-    with open(source, encoding="utf-8") if named else contextlib.nullcontext(source) as stream:
-        direct = named and os.path.splitext(source)[1] not in (".gz", ".bz2", ".xz", ".lzma")
-        path = os.path.join(os.curdir, source) if direct else None
-        name = getattr(stream, "name", "<stream>")
-        start = stream.tell()
-        head = stream.readline()
-        if not head:
-            raise HolterFormatError(f"{name}: empty file")
-        # The header is the first line as str.splitlines sees it.
-        lines = head.splitlines()
-        series = _parse_table(stream, lines[0], path) if len(lines) == 1 else None
-        if series is None:
-            stream.seek(start)
-            lines = stream.read().splitlines()
-            series = _parse_rows(lines[1:], lines[0], name)
-        if not len(series):
-            raise HolterFormatError(f"{name}: no records")
-        return parse_meta(name, meta_pattern), series
+    path = os.fspath(source)
+    series = _parse_table(path)
+    if series is None:
+        series = _parse_rows(path)
+    if not len(series):
+        raise HolterFormatError(f"{path}: no records")
+    return parse_meta(path, meta_pattern), series
 
 
 def write_holter(series: RRSeries, dest) -> None:
-    """Serialize a series back to the text format.
+    """Serialize a series to the text format, at the path `dest`.
 
     The header is passed through verbatim; columns are tab separated; the
     interval keeps its shortest exact decimal form, the time is written with
     millisecond precision.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_holter(series, fh)
-        return
-    dest.write(series.header + "\n")
-    for lo in range(0, len(series), _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        dest.write("".join(
-            f"{i}\t{clock}\t{interval!r}\t{annotation}\n"
-            for i, clock, interval, annotation in zip(
-                series.index[rows].tolist(), _format_clocks(series.time[rows]),
-                series.interval[rows].tolist(), series.annotation[rows].tolist())))
+    with open(os.fspath(dest), "w", encoding="utf-8") as fh:
+        fh.write(series.header + "\n")
+        for lo in range(0, len(series), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            fh.write("".join(
+                f"{i}\t{clock}\t{interval!r}\t{annotation}\n"
+                for i, clock, interval, annotation in zip(
+                    series.index[rows].tolist(), _format_clocks(series.time[rows]),
+                    series.interval[rows].tolist(), series.annotation[rows].tolist())))
 
 
 def filter_normal(series: RRSeries) -> RRSeries:

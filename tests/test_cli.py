@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import shutil
 from dataclasses import asdict
@@ -219,6 +221,27 @@ class TestAnalyzeCommand:
         monkeypatch.setattr("svrand.cli.render_json",
                             lambda *args: "x" * 100_000 + "\ud800")
         assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_write_keeps_every_earlier_report(self, tmp_path, capsys, monkeypatch):
+        # A different run fails at its last report: its first two reports
+        # must not replace the earlier run's, whose config lines would then
+        # disagree with report.json's.
+        path = synth_file(tmp_path)
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text = Path.write_text
+
+        def disk_full(self, *args, **kwargs):
+            if self.name.startswith(".report.json."):
+                write_text(self, "partial")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert main(["analyze", str(path), "--cut", "3,3", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_weighted_epsilon_of_saturated_profile(self, tmp_path, capsys):

@@ -7,17 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_ingest_oracles import holter_parse, serialized
 
 from svrand.ingest import (NOCTURNAL_MIN_RECORDS, HolterFormatError, PersonMeta, RRRecord,
                            RRSeries, edit_perturbations, extract_nocturnal, filter_normal,
                            parse_holter, write_holter)
 
-
-def serialized(series):
-    buf = io.StringIO()
-    write_holter(series, buf)
-    return buf.getvalue()
-
+DATA = Path(__file__).parent / "data"
 
 SAMPLE = """\
 index\ttime\tinterval\tannotation
@@ -68,18 +64,15 @@ class TestParseHolter:
         with pytest.raises(FileNotFoundError):
             parse_holter(tmp_path / "absent.txt")
 
-    @pytest.mark.filterwarnings("ignore:file name")
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
         # numpy decompresses a path with these suffixes; open() reads text.
-        text = (Path(__file__).parent / "data" / "F_42_221500.txt").read_text()
         path = tmp_path / f"F_42_221500.txt{suffix}"
-        path.write_text(text)
+        path.write_bytes((DATA / "F_42_221500.txt").read_bytes())
         meta, series = parse_holter(path)
         assert meta == PersonMeta(id="F_42_221500.txt", sex="F", age=42)
-        assert series == parse_holter(io.StringIO(text))[1]
+        assert series == parse_holter(DATA / "F_42_221500.txt")[1]
 
-    @pytest.mark.filterwarnings("ignore:file name")
     def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
             raise AssertionError("network access")
@@ -91,10 +84,10 @@ class TestParseHolter:
         (tmp_path / "http:" / "h" / "F_42_221500.txt").write_text(SAMPLE)
         meta, series = parse_holter("http://h/F_42_221500.txt")
         assert meta.id == "F_42_221500"
-        assert series == parse_holter(io.StringIO(SAMPLE))[1]
+        assert series == holter_parse(SAMPLE)
 
     def test_parses_without_a_working_directory(self, tmp_path, monkeypatch):
-        # numpy's DataSource cannot open a path then; the stream still reads.
+        # numpy's DataSource cannot open a path then; open() still reads it.
         path = tmp_path / "F_63_221500.txt"
         path.write_text(SAMPLE)
         (tmp_path / "gone").mkdir()
@@ -103,7 +96,6 @@ class TestParseHolter:
         _, series = parse_holter(str(path))
         assert len(series) == 2
 
-    @pytest.mark.filterwarnings("ignore:file name")
     def test_parent_of_a_symlink_is_resolved_as_open_does(self, tmp_path, monkeypatch):
         # "link/.." is the parent of the link's target, not the working
         # directory that a lexically normalised path would name.
@@ -113,20 +105,14 @@ class TestParseHolter:
         (tmp_path / "real" / "F_63_221500.txt").write_text(SAMPLE)
         (tmp_path / "F_63_221500.txt").write_text(SAMPLE.replace("0.8046875", "0.5"))
         _, series = parse_holter("link/../F_63_221500.txt")
-        assert series == parse_holter(io.StringIO(SAMPLE))[1]
+        assert series == holter_parse(SAMPLE)
 
-    @pytest.mark.filterwarnings("ignore:file name")
-    def test_open_file_is_read_from_its_position(self, tmp_path):
-        # The header looks like a row, so a read of the rest of the file
-        # from its start would count it as a beat.
-        text = "0 00:00:00.000 0.5 N\n" + SAMPLE.split("\n", 1)[1]
-        path = tmp_path / "F_63_221500.txt"
-        path.write_text("preamble\n" + text)
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            _, series = parse_holter(fh)
-        assert series == parse_holter(io.StringIO(text))[1]
-        assert len(series) == 2
+    def test_streams_are_rejected(self):
+        # Files are read and written by path only.
+        with pytest.raises(TypeError, match="os.PathLike"):
+            parse_holter(io.StringIO(SAMPLE))
+        with pytest.raises(TypeError, match="os.PathLike"):
+            write_holter(RRSeries((RRRecord(1, 0.0, 0.8, "N"),)), io.StringIO())
 
     def test_malformed_row_reports_line_and_column(self, tmp_path):
         path = tmp_path / "F_20_000000.txt"
@@ -152,9 +138,11 @@ class TestParseHolter:
         _, series = parse_holter(path)
         assert series.records[0].time == 3600.25
 
-    def test_nul_byte_rejected_with_line(self):
+    def test_nul_byte_rejected_with_line(self, tmp_path):
+        path = tmp_path / "F_20_000000.txt"
+        path.write_text("header\n1 00:00:00.000 1 N\x00\n")
         with pytest.raises(HolterFormatError, match=r"line 2: NUL byte in the row"):
-            parse_holter(io.StringIO("header\n1 00:00:00.000 1 N\x00\n"))
+            parse_holter(path)
 
     def test_record_rejects_nul_in_annotation(self):
         with pytest.raises(ValueError, match="NUL"):
@@ -177,29 +165,25 @@ class TestParseHolter:
         with pytest.raises(ValueError, match="one line"):
             RRSeries((RRRecord(1, 0.0, 0.8, "N"),), header=header)
 
-    @pytest.mark.filterwarnings("ignore:file name")
     @pytest.mark.parametrize("header", ["", "index time interval annotation", "a\x00b"])
     def test_one_line_header_round_trips(self, header):
         series = RRSeries((RRRecord(1, 0.0, 0.8, "N"),), header=header)
-        assert parse_holter(io.StringIO(serialized(series)))[1] == series
+        assert holter_parse(serialized(series)) == series
 
-    @pytest.mark.filterwarnings("ignore:file name")
     def test_round_trip_fixed_point(self, tmp_path):
         path = tmp_path / "F_63_221500.txt"
         path.write_text(SAMPLE)
         _, series = parse_holter(path)
         text = serialized(series)
-        _, reparsed = parse_holter(io.StringIO(text))
+        reparsed = holter_parse(text)
         assert reparsed == series
         assert serialized(reparsed) == text
 
     def test_serializer_uses_single_tabs(self, tmp_path):
         series = RRSeries((RRRecord(1, 0.5, 0.8046875, "N"),), header="hdr line")
-        text = serialized(series)
-        assert text == "hdr line\n1\t00:00:00.500\t0.8046875\tN\n"
         out = tmp_path / "rr.txt"
         write_holter(series, out)
-        assert out.read_text(encoding="utf-8") == text
+        assert out.read_bytes() == b"hdr line\n1\t00:00:00.500\t0.8046875\tN\n"
 
 
 class TestFilterNormal:

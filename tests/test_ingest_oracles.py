@@ -6,7 +6,6 @@ nocturnal window and the left-to-right perturbation edit.
 """
 
 import contextlib
-import io
 import os
 import statistics
 import string
@@ -117,10 +116,6 @@ def outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def holter_parse(text: str):
-    return outcome(lambda: parse_holter(io.StringIO(text))[1])
-
-
 @contextlib.contextmanager
 def written(text: str):
     """The path of a temporary file holding the text's UTF-8 bytes."""
@@ -129,6 +124,21 @@ def written(text: str):
         with open(path, "wb") as fh:
             fh.write(text.encode("utf-8"))
         yield path
+
+
+def holter_parse(text: str):
+    """parse_holter's outcome on a file holding the text."""
+    with written(text) as path:
+        return outcome(lambda: parse_holter(path)[1])
+
+
+def serialized(series: RRSeries) -> str:
+    """The text write_holter writes for the series, read back unchanged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rr.txt")
+        write_holter(series, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
 
 
 def file_outcomes(text: str):
@@ -167,6 +177,7 @@ rows = st.lists(st.tuples(indices, clocks, intervals, annotations), min_size=1,
 
 @st.composite
 def valid_files(draw):
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [draw(st.text(alphabet=string.printable.replace("\n", "")
                           .replace("\r", "").replace("\x0b", "").replace("\x0c", ""),
                           max_size=20))]
@@ -176,7 +187,7 @@ def valid_files(draw):
         sep = draw(separators)
         lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
                      + draw(st.sampled_from(["", "\t"])))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 def corrupt(line: str, how: int, draw) -> str:
@@ -224,61 +235,54 @@ class TestBulkParse:
     @SETTINGS
     @given(text=valid_files())
     def test_equals_row_parser_on_valid_files(self, text):
-        header, body = text.split("\n", 1)
-        # the table path decides
-        assert ingest._parse_table(io.StringIO(body), header) is not None
-        series = holter_parse(text)
-        expected = row_parse(text)
-        assert series.header == expected.header
-        for column in ("index", "time", "interval", "annotation", "edited"):
-            assert np.array_equal(getattr(series, column), getattr(expected, column))
-        assert series.records == expected.records
-        # The same text read from a path, where loadtxt opens the file itself.
+        # CRLF line ends included: the table path decides.
         with written(text) as path:
-            with open(path, encoding="utf-8") as fh:
-                fh.readline()
-                assert ingest._parse_table(fh, header, path) is not None
-            from_path = parse_holter(path)[1]
-        assert from_path == expected
-        assert from_path.annotation.dtype == expected.annotation.dtype
+            table = ingest._parse_table(path)
+            series = parse_holter(path)[1]
+        expected = row_parse(text)
+        assert table is not None
+        assert table == series == expected
+        assert series.annotation.dtype == expected.annotation.dtype
+        assert series.records == expected.records
 
     @SETTINGS
     @given(text=corrupted_files())
     def test_same_outcome_on_corrupted_files(self, text):
-        assert holter_parse(text) == outcome(lambda: row_parse(text))
         got, expected = file_outcomes(text)
         assert got == expected
 
     @SETTINGS
     @given(text=st.text(max_size=120))
     def test_same_outcome_on_any_text(self, text):
-        assert holter_parse(text) == outcome(lambda: row_parse(text))
         got, expected = file_outcomes(text)
         assert got == expected
 
     def test_raw_seconds_clock_stays_on_table_path(self):
-        body = "".join(f"{k} 00:00:0{k}.000 0.8 N\n" for k in range(1, 5))
-        body += "5 3600.5 0.8 N\n"
-        table = ingest._parse_table(io.StringIO(body), "hdr")
+        text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 0.8 N\n" for k in range(1, 5))
+        text += "5 3600.5 0.8 N\n"
+        with written(text) as path:
+            table = ingest._parse_table(path)
         assert table is not None
-        assert table == row_parse("hdr\n" + body)
+        assert table == row_parse(text)
         assert table.time[-1] == 3600.5
 
     @pytest.mark.parametrize("annotation,table_path", [("ABCDEFGHIJKLMNO", True),
                                                        ("ABCDEFGHIJKLMNOP", False)])
     def test_annotation_width_boundary(self, annotation, table_path):
         # An annotation of 16 or more characters would fill its table field.
-        body = f"1 00:00:01.000 0.8 N\n2 00:00:02.000 0.8 {annotation}\n"
-        table = ingest._parse_table(io.StringIO(body), "hdr")
+        text = f"hdr\n1 00:00:01.000 0.8 N\n2 00:00:02.000 0.8 {annotation}\n"
+        with written(text) as path:
+            table = ingest._parse_table(path)
         assert (table is not None) == table_path
-        series = row_parse("hdr\n" + body)
+        series = row_parse(text)
         assert series.annotation[-1] == annotation
-        assert holter_parse("hdr\n" + body) == series
+        assert holter_parse(text) == series
 
     def test_many_errors_listed_as_by_rows(self):
         text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 -1 N\n" for k in range(9))
-        assert holter_parse(text) == outcome(lambda: row_parse(text))
-        assert "(+4 more)" in holter_parse(text)[1]
+        got, expected = file_outcomes(text)
+        assert got == expected
+        assert "(+4 more)" in got[1]
 
     @pytest.mark.parametrize("row", [
         "9" * 18 + " 00:00:00.001 1 N",
@@ -300,8 +304,8 @@ class TestBulkParse:
         "1 00:00:00.000\x0b0.8 N",                     # a line break between fields
     ])
     def test_field_limits(self, row):
-        text = f"hdr\n{row}\n"
-        assert holter_parse(text) == outcome(lambda: row_parse(text))
+        got, expected = file_outcomes(f"hdr\n{row}\n")
+        assert got == expected
 
     def test_clock_seconds_are_exact_milliseconds(self):
         # The digit arithmetic for SS.mmm equals _parse_clock's rounding of
@@ -329,14 +333,10 @@ class TestWrite:
     def test_equals_record_writer_and_round_trips(self, rs, chunk_rows):
         series = RRSeries(rs, header="index time interval annotation")
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-            buf = io.StringIO()
-            write_holter(series, buf)
-        text = buf.getvalue()
+            text = serialized(series)
         assert text == record_write(series)
         if rs:
-            again = io.StringIO()
-            write_holter(holter_parse(text), again)
-            assert again.getvalue() == text
+            assert serialized(holter_parse(text)) == text
 
 
 # -- pre-processing ----------------------------------------------------------
