@@ -128,12 +128,21 @@ def _walk_down(counts: CountTable) -> list[float]:
 
 def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linear",
                     *, force_h: bool = False) -> EpsilonProfile:
-    """Estimate epsilons for all history lengths 0..H from one shared count table.
+    """Estimate epsilons for all history lengths 0..H from one count table.
 
     H defaults to max_history(len(s)).  Larger requests are clamped back to
     that bound with a warning unless force_h is set, in which case the
-    override is recorded on the profile.  Only the table's top level is
-    held, about 4 * 2**(H + 1) bytes, and _walk_down estimates from it.
+    override is recorded on the profile.  _walk_down estimates from the
+    table's top level, the only one held.
+
+    A history that occurs exactly once has deviation 1/2.  So does its
+    one-bit extension, which also occurs once; at the end of a linear
+    sequence its one-bit predecessor does instead.  From the shortest length
+    with such a history up to the top, every estimate is therefore exactly
+    1/2.  The count starts two lengths below the top: if a history of that
+    length occurs once, the walk starts there, the two longest lengths read
+    1/2 and about 4 * 2**(H - 1) bytes of counts are held.  Otherwise the
+    top level is counted as well, about 4 * 2**(H + 1) bytes.
     """
     n = len(s)
     bound = max_history(n)
@@ -153,7 +162,18 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
     # budget still judges H + 1.
     _check_count_args(use_h + 1, mode)
     top = min(use_h + 1, n + 1) if mode == "linear" else use_h + 1
-    eps = (*_walk_down(count_substrings_fast(s, top, mode)), *(None,) * (use_h + 1 - top))
+    walked = None
+    if 2 < top <= n:
+        # A top - 2 history that occurs once sets lengths top - 2 and top - 1
+        # to 1/2.  A top past n is left to the top count, which refuses it in
+        # cyclic mode.
+        table = count_substrings_fast(s, top - 2, mode)
+        if (table.level(top - 2) == 1).any():
+            walked = [*_walk_down(table), 0.5, 0.5]
+        del table  # not held while the top is counted
+    if walked is None:
+        walked = _walk_down(count_substrings_fast(s, top, mode))
+    eps = (*walked, *(None,) * (use_h + 1 - top))
     return EpsilonProfile(epsilons=eps, max_h=use_h, n=n, mode=mode,
                           clamped=clamped, forced=forced)
 

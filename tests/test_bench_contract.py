@@ -29,9 +29,11 @@ codes = [cli.main(argv) for argv in (
     ["analyze", f"{data}/F_55_223000.txt", "--mode", "med", "--out", f"{out}/med"],
     ["synth", f"{out}/F_30_000000.txt", "--n", "200"])]
 bits = BitSequence("0110100110010110" * 64)
+before = len(tracer.spans)
 estimator.weighted_epsilon(estimator.epsilon_profile(bits, mode="cyclic"))
+cyclic_counts = sum(span["name"] == "bitseq.count" for span in tracer.spans[before:])
 recorded = {span["name"] for span in tracer.spans}
-print(json.dumps({"codes": codes,
+print(json.dumps({"codes": codes, "cyclic_counts": cyclic_counts,
                   "missing": sorted({name for _, _, name, _ in TARGETS} - recorded)}))
 """
 
@@ -43,4 +45,5 @@ def test_traced_runs_record_every_target(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "missing": []}, proc.stderr
+    # The cyclic profile has no length-8 singleton, so it counts to 8 and then to 10.
+    assert result == {"codes": [0, 0, 0], "cyclic_counts": 2, "missing": []}, proc.stderr

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrand import estimator
-from svrand.bitseq import COUNTINGS, BitSequence, CountTable, count_substrings, debruijn
+from svrand.bitseq import (COUNTINGS, BitSequence, CountTable, count_substrings,
+                           count_substrings_fast, debruijn)
 from svrand.estimator import (EpsilonProfile, epsilon_profile, history_weights,
                               loglog_history, max_history, weighted_epsilon)
 from svrand.synth import biased_coin
@@ -273,9 +274,10 @@ class TestEpsilonProfile:
         assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
 
     def test_peak_memory_is_the_count_table(self):
-        # 2**22 bits: H = 21, so the table stores only its top level, 2**22
-        # uint32 counts.  Neither the counter nor the walk down from the top
-        # may hold a buffer that scales with n or 2**H beside it.
+        # 2**22 bits: H = 21, so the table stores at most its top level, 2**22
+        # uint32 counts (2**20 where a length-20 history occurs once).  Neither
+        # the counter nor the walk down may hold a buffer that scales with n or
+        # 2**H beside it.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
@@ -339,22 +341,23 @@ class TestProfileWalk:
 
     @pytest.mark.parametrize("mode, end", [("linear", 0), ("linear", 1), ("cyclic", 1)])
     def test_top_spanning_several_pieces(self, mode, end):
-        # 2**20 + 5 bits: H = 19, so the top level's 2**20 counts make eight
-        # pieces of 2 * _CHUNK.  Bits ending in 1s put the linear tail's
-        # history in the last piece at every length of the first pass; bits
-        # ending in 0s put it in the first.
+        # 2**20 + 5 bits: H = 19, so a top level of length 20 makes eight
+        # pieces of 2 * _CHUNK.  (epsilon_profile counts these bits only to
+        # length 18, which has a singleton, so the walk runs on its own.)
+        # Bits ending in 1s put the linear tail's history in the last piece at
+        # every length of the first pass; bits ending in 0s put it in the first.
         bits = np.random.default_rng(20 + end).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
         bits[-32:] = end
-        profile = epsilon_profile(BitSequence.from_array(bits), mode=mode)
+        eps = estimator._walk_down(count_substrings_fast(BitSequence.from_array(bits), 20, mode))
         table = bincount_table(bits, 20, mode)
-        assert profile.max_h == 19
-        assert profile.epsilons == oracle_epsilons(table, 19)
+        assert len(eps) == 20
+        assert tuple(eps) == oracle_epsilons(table, 19)
 
     def test_saturated_level_is_divided_once(self):
-        # The first pass over 2**20 + 5 random bits (H = 19) takes levels
-        # 19..14 in eight pieces each.  Level 19's histories occur about twice,
-        # so its first piece already holds a deviation of 1/2; level 14's occur
-        # about 64 times, and it never reaches 1/2.
+        # The first pass down from length 20 over 2**20 + 5 random bits takes
+        # levels 19..14 in eight pieces each.  Level 19's histories occur about
+        # twice, so its first piece already holds a deviation of 1/2; level
+        # 14's occur about 64 times, and it never reaches 1/2.
         bits = np.random.default_rng(20).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
         table = bincount_table(bits, 20, "linear")
         assert np.nanmax(history_deviations(table, 19)[:estimator._CHUNK]) == 0.5
@@ -372,11 +375,11 @@ class TestProfileWalk:
         with mock.patch.object(CountTable, "halve", spy_halve), \
                 mock.patch.object(estimator, "_worst_ratio",
                                   wraps=estimator._worst_ratio) as ratio:
-            profile = epsilon_profile(BitSequence.from_array(bits))
+            eps = estimator._walk_down(count_substrings_fast(BitSequence.from_array(bits), 20))
         divided = [level_of[id(c.args[1])][0] for c in ratio.call_args_list]
         assert divided.count(19) == 1
         assert divided.count(14) == 8
-        assert profile.epsilons == oracle_epsilons(table, 19)
+        assert tuple(eps) == oracle_epsilons(table, 19)
 
     @pytest.mark.parametrize("walk", [(2, 2), (1, 1)])
     def test_late_saturation_is_exact(self, walk):
@@ -394,6 +397,65 @@ class TestProfileWalk:
             profile = epsilon_profile(s)
         assert profile.max_h == 4
         assert profile.epsilons == oracle_epsilons(table, 4)
+
+
+def debruijn_path(k, extra):
+    """Order-k De Bruijn bits followed by their first `extra` bits.
+
+    Read cyclically, or linearly with extra = k - 1, every history shorter
+    than k occurs at least twice and is followed by both bits.
+    """
+    text = str(debruijn(k))
+    return text + text[:extra]
+
+
+class TestSingletonShortcut:
+    """A length-h history that occurs once fixes every longer estimate at 1/2,
+    so epsilon_profile counts two lengths below the top where that holds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(COUNTINGS),
+           text=st.one_of(st.text("01", min_size=2, max_size=200),
+                          st.integers(1, 7).flatmap(lambda k: st.integers(0, k - 1).map(
+                              lambda extra: debruijn_path(k, extra)))))
+    def test_singleton_fixes_longer_lengths_at_half(self, data, mode, text):
+        n = len(text)
+        # Forced H up to n; cyclic counting needs H + 1 <= n.  Lengths past 16
+        # would make the reference table too large.
+        max_h = data.draw(st.integers(0, min(n if mode == "linear" else n - 1, 16)))
+        last = min(max_h, n)  # the last length at which some history occurs
+        s = BitSequence(text)
+        table = count_substrings(s, max_h + 1, mode)
+        for h in range(1, last + 1):
+            if (table.level(h) == 1).any():
+                assert all(np.nanmax(history_deviations(table, g)) == 0.5
+                           for g in range(h, last + 1))
+        profile = epsilon_profile(s, max_h, mode, force_h=True)
+        assert profile.epsilons == oracle_epsilons(table, max_h)
+
+    def counted_lengths(self, s, *args, **kwargs):
+        with mock.patch.object(estimator, "count_substrings_fast",
+                               wraps=estimator.count_substrings_fast) as count:
+            profile = epsilon_profile(s, *args, **kwargs)
+        return profile, [c.args[1] for c in count.call_args_list]
+
+    def test_singleton_counts_once_two_lengths_below_the_top(self):
+        bits = np.random.default_rng(20).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
+        profile, lengths = self.counted_lengths(BitSequence.from_array(bits))
+        assert profile.max_h == 19 and lengths == [18]
+        assert profile.epsilons[18:] == (0.5, 0.5)
+
+    def test_no_singleton_counts_the_top_as_well(self):
+        # Every length-8 history of this cyclic sequence occurs at least twice.
+        s = BitSequence("0110100110010110" * 64)
+        profile, lengths = self.counted_lengths(s, mode="cyclic")
+        assert profile.max_h == 9 and lengths == [8, 10]
+        assert profile.epsilons == oracle_epsilons(count_substrings(s, 10, "cyclic"), 9)
+
+    def test_forced_linear_past_n_counts_once(self):
+        profile, lengths = self.counted_lengths(BitSequence("0101"), 24, force_h=True)
+        assert lengths == [5]
+        assert profile.epsilons == (0.0, 0.5, 0.5, 0.5, 0.5) + (None,) * 20
 
 
 def history_deviations(table, h):
