@@ -34,6 +34,8 @@ VARIANTS = {
                    "--h", "3"],
     "mono": ["analyze", FIXTURE, "--discretizer", "mono"],
     "merge_cut44": ["analyze", FIXTURE, "--mode", "merged", "--cut", "4,4"],
+    # The longest preset window: runs of 6 and more are cut from both bits.
+    "cut66": ["analyze", FIXTURE, "--cut", "6,6"],
     # Persons with different H: the shorter row is padded with empty cells.
     "two_persons": ["analyze", FIXTURE, SHORT],
     # Undefined epsilons and an unavailable weighted epsilon.
