@@ -82,9 +82,6 @@ class BitSequence:
     def __len__(self) -> int:
         return self._arr.size
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._arr.tolist())
-
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return BitSequence._wrap(self._arr[idx])
@@ -92,9 +89,6 @@ class BitSequence:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitSequence) and np.array_equal(self._arr, other._arr)
-
-    def __hash__(self) -> int:
-        return hash(self._arr.tobytes())
 
     def __str__(self) -> str:
         return (self._arr + ord("0")).tobytes().decode("ascii")

@@ -64,6 +64,10 @@ def discretize_mono(series: RRSeries) -> BitSequence:
     return BitSequence.from_array(np.where(mono, 0, 1))
 
 
+# Bits cut_trends decides at a time; its scratch is O(_BLOCK) beside the output.
+_BLOCK = 1 << 18
+
+
 def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     """Delete alternating acceleration/deceleration windows in one forward pass.
 
@@ -76,31 +80,44 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
 
     A search lands on the head of the next run of its bit that is at least
     a window long.  So the pass cuts a window from each such run whose bit
-    differs from the previous such run's, taking a 0 before the first.
-    These heads come from one run-start mask, True past the end, by clearing
-    each start that another start follows within its run's window; a run of
-    the shorter window's bit is checked only that far.  The selected heads
-    alternate 1-run, 0-run, ..., from a 1-run, so the even ones take the
-    accel windows and the odd ones the decel windows.  The heads' bool array
-    is then the mask of bits to keep, cleared one window offset at a time.
+    differs from the previous such run's, taking a 0 before the first.  The
+    heads come, block by block, from a run-start mask over the block and the
+    longer window - 1 bits after it, read with the bit before and True past
+    the end, by clearing each start that another start follows within its
+    run's window; a run of the shorter window's bit is checked only that
+    far.  The next block gets the last head's bit and how far the last
+    window reaches past the block's end.  The kept bits fill one n-byte
+    buffer, and the result is a view of it.
     """
     a = s.to_array().view(bool)  # the bits are 0s and 1s
     n = a.size
-    short, long = sorted((pattern.accel, pattern.decel))
-    starts = np.ones(n + long - 1, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=starts[1:n])
-    heads = starts[:n].copy()
-    for k in range(1, long):
-        stop = starts[k:k + n]
-        if k >= short:  # runs of the shorter window's bit have passed their check
-            stop = stop & a if pattern.accel > pattern.decel else stop > a
-        np.greater(heads, stop, out=heads)
-    starts = stop = None  # free the mask before the heads get positions
-    pos = np.flatnonzero(heads)
-    pos = pos[np.diff(a[pos], prepend=False)]
-    keep = heads  # the heads have their positions
-    keep.fill(True)
-    for first, length in ((pos[0::2], pattern.accel), (pos[1::2], pattern.decel)):
-        for k in range(length):
-            keep[first + k] = False
-    return BitSequence._wrap(a[keep].view(np.uint8))
+    accel, decel = min(pattern.accel, n + 1), min(pattern.decel, n + 1)  # no run exceeds n
+    short, long = sorted((accel, decel))
+    out = np.empty(n, dtype=bool)
+    m, last, cover = 0, False, 0
+    for b0 in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - b0)
+        bits, ahead = a[b0:b0 + size], a[b0:b0 + size + long - 1]
+        starts = np.ones(size + long - 1, dtype=bool)
+        np.not_equal(ahead[1:], ahead[:-1], out=starts[1:ahead.size])
+        starts[0] = b0 == 0 or a[b0] != a[b0 - 1]
+        heads = starts[:size].copy()
+        for k in range(1, long):
+            stop = starts[k:k + size]
+            if k >= short:  # runs of the shorter window's bit have passed their check
+                stop = stop & bits if accel > decel else stop > bits
+            np.greater(heads, stop, out=heads)
+        pos = np.flatnonzero(heads)
+        head_bits = np.concatenate(([last], bits[pos]))
+        pos = pos[head_bits[1:] != head_bits[:-1]]
+        keep = starts  # the heads have their positions
+        keep[:cover], keep[cover:] = False, True
+        ones = int(last)  # the cut heads alternate bits, from the one after `last`
+        for first, length in ((pos[ones::2], accel), (pos[1 - ones::2], decel)):
+            for k in range(length):
+                keep[first + k] = False
+        last, cover = head_bits[-1], long - 1 - np.count_nonzero(keep[size:])
+        kept = bits[keep[:size]]
+        out[m:m + kept.size] = kept
+        m += kept.size
+    return BitSequence._wrap(out[:m].view(np.uint8))

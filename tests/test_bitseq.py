@@ -52,6 +52,13 @@ class TestBitSequence:
         assert s[1:3] == BitSequence("01")
         assert len(s) == 4
 
+    def test_iterates_by_index(self):
+        # list() walks __getitem__ until the IndexError past the end.
+        s = BitSequence("0110")
+        assert list(s) == [0, 1, 1, 0]
+        with pytest.raises(IndexError):
+            s[4]
+
     def test_concat_and_array_round_trip(self):
         s = merge_persons([BitSequence("01"), BitSequence("10")])
         assert str(s) == "0110"

@@ -1,12 +1,15 @@
 import itertools
 import random
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svrand import transform
 from svrand.bitseq import BitSequence
 from svrand.transform import (TrendCutPattern, cut_trends, discretize_accel,
                               discretize_mono, discretize_rapid)
@@ -132,6 +135,70 @@ def is_subsequence(short, long):
     return all(c in it for c in short)
 
 
+def one_mask_cut(s, pattern):
+    """The cut over the whole sequence at once: one run-start mask, and the
+    selected heads' windows assigned by parity, even ones accel."""
+    a = s.to_array().view(bool)
+    n = a.size
+    short, long = sorted((pattern.accel, pattern.decel))
+    starts = np.ones(n + long - 1, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:n])
+    heads = starts[:n].copy()
+    for k in range(1, long):
+        stop = starts[k:k + n]
+        if k >= short:
+            stop = stop & a if pattern.accel > pattern.decel else stop > a
+        np.greater(heads, stop, out=heads)
+    pos = np.flatnonzero(heads)
+    pos = pos[np.diff(a[pos], prepend=False)]
+    keep = np.ones(n, dtype=bool)
+    for first, length in ((pos[0::2], pattern.accel), (pos[1::2], pattern.decel)):
+        for k in range(length):
+            keep[first + k] = False
+    return BitSequence._wrap(a[keep].view(np.uint8))
+
+
+def check_every_short_sequence(i, j, max_n):
+    pattern = TrendCutPattern(i, j)
+    for n in range(max_n + 1):
+        for bits in itertools.product("01", repeat=n):
+            text = "".join(bits)
+            assert str(cut_trends(BitSequence(text), pattern)) == reference_cut(text, i, j)[0]
+
+
+def check_accounting(runs, accel, decel):
+    text = "".join(bit * length for bit, length in runs)
+    out = str(cut_trends(BitSequence(text), TrendCutPattern(accel, decel)))
+    assert is_subsequence(out, text)
+    # k windows of 1s and m windows of 0s deleted, alternating from a 1-window
+    kept, m, dangling = reference_cut(text, accel, decel)
+    assert out == kept
+    k = m + dangling
+    assert len(text) - len(out) == accel * k + decel * m
+
+
+def check_last_run(accel, decel, bit, extra):
+    # Positions past the end count as run starts, so a last run one bit
+    # short of its window must not qualify, and one exactly a window long
+    # must.
+    length = (accel if bit == "1" else decel) + extra
+    for prefix in EDGE_PREFIXES:
+        text = prefix.rstrip(bit) + bit * length
+        out = cut_trends(BitSequence(text), TrendCutPattern(accel, decel))
+        assert str(out) == reference_cut(text, accel, decel)[0], text
+
+
+RUNS = st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 8)), max_size=40)
+# Block sizes that put block edges inside, at the end of and past every window.
+SMALL_BLOCKS = [1, 2, 3, 7, 64]
+
+
+@pytest.fixture(params=SMALL_BLOCKS)
+def small_block(request):
+    with mock.patch.object(transform, "_BLOCK", request.param):
+        yield request.param
+
+
 class TestCutTrends:
     def test_worked_example(self):
         out = cut_trends(BitSequence("1101100100"), TrendCutPattern(2, 2))
@@ -182,35 +249,20 @@ class TestCutTrends:
             assert removed == cycles * (i + j) + (i if dangling else 0)
 
     @settings(max_examples=300, deadline=None)
-    @given(runs=st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 8)), max_size=40),
-           accel=st.integers(1, 8), decel=st.integers(1, 8))
+    @given(runs=RUNS, accel=st.integers(1, 8), decel=st.integers(1, 8))
     def test_accounting_property(self, runs, accel, decel):
-        text = "".join(bit * length for bit, length in runs)
-        out = str(cut_trends(BitSequence(text), TrendCutPattern(accel, decel)))
-        assert is_subsequence(out, text)
-        # k windows of 1s and m windows of 0s deleted, alternating from a 1-window
-        kept, m, dangling = reference_cut(text, accel, decel)
-        assert out == kept
-        k = m + dangling
-        assert len(text) - len(out) == accel * k + decel * m
+        check_accounting(runs, accel, decel)
 
     @pytest.mark.parametrize("i,j", itertools.product(range(1, 5), repeat=2))
     def test_every_short_sequence(self, i, j):
-        pattern = TrendCutPattern(i, j)
-        for n in range(13):
-            for bits in itertools.product("01", repeat=n):
-                text = "".join(bits)
-                assert str(cut_trends(BitSequence(text), pattern)) == reference_cut(text, i, j)[0]
+        check_every_short_sequence(i, j, 12)
 
     def test_peak_memory_per_input_bit(self):
-        # At (3,3) an eighth of a coin's bits head a qualifying run, so their
-        # int64 positions take about 1 byte per bit, and the half kept by the
-        # type-change step half that.  The run-start mask and the heads take
-        # 1 byte per bit each, and the mask is gone before the positions are
-        # taken; at the end the heads, now the keep mask, the output and the
-        # kept positions take about 2.5.  No array of positions may span
-        # every run: int64 positions of all run starts alone take 4 bytes
-        # per bit.
+        # The kept bits go into one n-byte buffer, 1 byte per input bit; the
+        # masks and head positions of one block of _BLOCK bits come to about
+        # 1.6 MiB more whatever n is, 0.4 byte per bit here.  A mask or an
+        # array of positions over the whole sequence would add 1 byte per
+        # bit or more: the one-mask cut peaked at 2.7.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
@@ -219,20 +271,13 @@ class TestCutTrends:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * len(s)
+        assert peak < 2 * len(s)
 
     @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
     @pytest.mark.parametrize("bit", "01")
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_last_run_one_off_its_window(self, accel, decel, bit, extra):
-        # Positions past the end count as run starts, so a last run one bit
-        # short of its window must not qualify, and one exactly a window long
-        # must.
-        length = (accel if bit == "1" else decel) + extra
-        for prefix in EDGE_PREFIXES:
-            text = prefix.rstrip(bit) + bit * length
-            out = cut_trends(BitSequence(text), TrendCutPattern(accel, decel))
-            assert str(out) == reference_cut(text, accel, decel)[0], text
+        check_last_run(accel, decel, bit, extra)
 
     @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
     def test_one_repeated_bit(self, accel, decel):
@@ -246,3 +291,49 @@ class TestCutTrends:
         text = "".join(rng.choice("01") for _ in range(200_000))
         out = cut_trends(BitSequence(text), TrendCutPattern(i, j))
         assert str(out) == reference_cut(text, i, j)[0]
+
+    @pytest.mark.parametrize("pattern,text,kept", [((10**9, 1), "0110", "0110"),
+                                                   ((1, 10**9), "0110", "010")])
+    def test_window_longer_than_the_sequence(self, pattern, text, kept):
+        # No run is longer than the sequence, so the cost must not grow with
+        # the window: a 1-window still goes, and a 0-window never matches.
+        start = time.perf_counter()
+        assert str(cut_trends(BitSequence(text), TrendCutPattern(*pattern))) == kept
+        assert time.perf_counter() - start < 1.0
+
+
+class TestCutTrendsBlocks:
+    """Windows that end at and cross block edges, with small blocks patched in."""
+
+    @pytest.mark.parametrize("i,j", itertools.product(range(1, 5), repeat=2))
+    def test_every_short_sequence(self, small_block, i, j):
+        check_every_short_sequence(i, j, 8)
+
+    @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
+    def test_last_run_one_off_its_window(self, small_block, accel, decel):
+        for bit, extra in itertools.product("01", [-1, 0, 1]):
+            check_last_run(accel, decel, bit, extra)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    @given(runs=RUNS, accel=st.integers(1, 8), decel=st.integers(1, 8))
+    def test_accounting_property(self, block, runs, accel, decel):
+        with mock.patch.object(transform, "_BLOCK", block):
+            check_accounting(runs, accel, decel)
+
+    @pytest.mark.parametrize("pattern", [(3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 2)])
+    def test_default_blocks_match_one_mask(self, pattern):
+        # Four default blocks and five bits: a coin, and runs of 1 to 12 bits
+        # with a run of at least 7 + k bits across the k-th block edge.
+        n = 4 * transform._BLOCK + 5
+        rng = np.random.default_rng(26)
+        coin = rng.integers(0, 2, n, dtype=np.uint8)
+        lengths = rng.integers(1, 13, n // 4)
+        runs = np.repeat((np.arange(lengths.size) % 2).astype(np.uint8), lengths)[:n]
+        assert runs.size == n
+        for k, edge in enumerate(range(transform._BLOCK, n, transform._BLOCK)):
+            runs[edge - k - 1:edge + 6] = k % 2
+        for arr in (coin, runs):
+            s = BitSequence.from_array(arr)
+            p = TrendCutPattern(*pattern)
+            assert cut_trends(s, p) == one_mask_cut(s, p)
