@@ -1,9 +1,11 @@
 """CSV and JSON report rendering.
 
-Each person and each cohort is one row of named fields; the CSVs and the JSON
-are both written from it, floats at 6 significant digits.  Both embed the
-resolved run configuration: the JSON as a "config" object, the CSVs as a
-leading comment line.
+`PERSON_FIELDS` and `COHORT_FIELDS` are the one statement of the report schema:
+a row's fields in CSV column order, each as (key, how to read it[, CSV marker]).
+A marker prefix spreads a list over <prefix>0.. columns, padded with empty cells
+to the widest list; a None marker keeps the field out of the CSV.  Every format
+is written from them, floats at 6 significant digits, with the resolved run
+configuration: a "config" object in the JSON, a leading comment line in a CSV.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
+from itertools import zip_longest
+from operator import attrgetter
 from typing import Sequence
 
 from svrand.cohort import CohortStats, PersonResult
@@ -25,7 +29,19 @@ __all__ = [
     "read_stats_people",
 ]
 
-COHORT_FIELDS = [f.name for f in fields(CohortStats)]
+PERSON_FIELDS = [
+    ("person_id", attrgetter("meta.id")),
+    ("sex", attrgetter("meta.sex")),
+    ("age", attrgetter("meta.age")),
+    ("mode", attrgetter("mode_tag")),
+    ("n_bits", attrgetter("profile.n")),
+    ("H", attrgetter("profile.max_h")),
+    ("epsilons", lambda r: list(r.profile.epsilons), "eps_"),
+    ("eps_weighted", attrgetter("weighted")),
+    ("h_clamped", lambda r: bool(r.profile.clamped), None),
+    ("h_forced", lambda r: bool(r.profile.forced), None),
+]
+COHORT_FIELDS = [(f.name, attrgetter(f.name)) for f in fields(CohortStats)]
 STATS_COLUMNS = ("person_id", "sex", "age", "eps_weighted")  # what `stats` reads
 
 
@@ -46,56 +62,40 @@ def _value(v):
     return float(fmt6(v)) if isinstance(v, float) else v
 
 
-def _person(r: PersonResult) -> dict:
-    """One person's report fields, in CSV column order."""
-    p = r.profile
-    return {"person_id": r.meta.id, "sex": r.meta.sex, "age": r.meta.age,
-            "mode": r.mode_tag, "n_bits": p.n, "H": p.max_h,
-            "epsilons": list(p.epsilons), "eps_weighted": r.weighted,
-            "h_clamped": bool(p.clamped), "h_forced": bool(p.forced)}
+def _columns(spec, rows):
+    """Each CSV column of the rows as (name, values), by the spec's markers."""
+    for key, get, *marker in spec:
+        values = [get(row) for row in rows]
+        if not marker:
+            yield key, values
+        elif marker[0] is not None:
+            yield from ((f"{marker[0]}{h}", c) for h, c in enumerate(zip_longest(*values)))
 
 
-def _table(config: dict, header: Sequence[str], rows) -> str:
+def _csv(config: dict, spec, rows) -> str:
     """The config comment, the header, then one line of cells per row."""
+    header, columns = zip(*_columns(spec, rows))
     buf = io.StringIO()
-    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
     csv.writer(buf, lineterminator="\n").writerows(
-        [_cell(v) for v in row] for row in [header, *rows])
-    return buf.getvalue()
-
-
-def _csv_columns(person: dict, width: int) -> dict:
-    """A person's CSV cells by column: the epsilons padded with None over
-    eps_0..eps_{width-1}; the h flags are JSON-only."""
-    columns = {}
-    for name, value in person.items():
-        if name == "epsilons":
-            columns.update((f"eps_{h}", e) for h, e in
-                           enumerate(value + [None] * (width - len(value))))
-        elif name not in ("h_clamped", "h_forced"):
-            columns[name] = value
-    return columns
+        [_cell(v) for v in line] for line in [header, *zip(*columns)])
+    return "# config " + json.dumps(config, sort_keys=True) + "\n" + buf.getvalue()
 
 
 def render_persons_csv(results: Sequence[PersonResult], config: dict) -> str:
     """Per-person table: identity, mode, size, and the epsilon columns."""
-    width = max((r.profile.max_h + 1 for r in results), default=0)
-    rows = [_csv_columns(_person(r), width) for r in results]
-    return _table(config, list(rows[0]) if rows else [], [row.values() for row in rows])
+    return _csv(config, PERSON_FIELDS, results)
 
 
 def render_cohorts_csv(stats: Sequence[CohortStats], config: dict) -> str:
-    return _table(config, COHORT_FIELDS, [asdict(c).values() for c in stats])
+    return _csv(config, COHORT_FIELDS, stats)
 
 
 def render_json(results: Sequence[PersonResult], stats: Sequence[CohortStats],
                 unknown: Sequence[PersonMeta], config: dict) -> str:
-    doc = {
-        "config": config,
-        "persons": [{k: _value(v) for k, v in _person(r).items()} for r in results],
-        "cohorts": [{k: _value(v) for k, v in asdict(c).items()} for c in stats],
-        "unknown_metadata": [m.id for m in unknown],
-    }
+    doc = {name: [{key: _value(get(row)) for key, get, *_ in spec} for row in rows]
+           for name, spec, rows in (("persons", PERSON_FIELDS, results),
+                                    ("cohorts", COHORT_FIELDS, stats))}
+    doc.update(config=config, unknown_metadata=[m.id for m in unknown])
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

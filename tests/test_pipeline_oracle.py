@@ -23,7 +23,7 @@ from test_transform import reference_cut
 from svrand.bitseq import COUNTINGS, BitSequence, CountTable, count_substrings
 from svrand.cli import CUT_PRESETS, DISCRETIZERS, MODES, RunConfig, run_analysis
 from svrand.cohort import CohortStats
-from svrand.report import _person
+from svrand.report import PERSON_FIELDS
 
 NIGHT = 6 * 3600.0  # the nocturnal window of --mode med
 
@@ -197,7 +197,7 @@ def check_against_reference(settings_: dict, files: list) -> None:
                 run_analysis(config)
             return
         results, cohorts_, unknown = run_analysis(config)
-    rows = [_person(r) for r in results]
+    rows = [{key: get(r) for key, get, *_ in PERSON_FIELDS} for r in results]
     weighted = [(row.pop("eps_weighted"), want.pop("eps_weighted"))
                 for row, want in zip(rows, expected_rows)]
     assert rows == expected_rows

@@ -1,4 +1,5 @@
-"""The persons table and the JSON report are written from one row per person."""
+"""The CSV tables and the JSON report are written from one declared field list
+per row: persons from `PERSON_FIELDS`, cohorts from `COHORT_FIELDS`."""
 
 import csv
 import io
@@ -8,10 +9,11 @@ from conftest import read_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrand.cohort import PersonResult
+from svrand.cohort import CohortStats, PersonResult
 from svrand.estimator import EpsilonProfile, max_history
 from svrand.ingest import PersonMeta
-from svrand.report import fmt6, render_json, render_persons_csv
+from svrand.report import (STATS_COLUMNS, fmt6, read_stats_people, render_cohorts_csv,
+                           render_json, render_persons_csv)
 
 CONFIG = {"inputs": ["x"], "mode": "full"}
 
@@ -40,26 +42,52 @@ def results(draw):
                         mode_tag=draw(st.sampled_from(["full", "cut(3,3)", "merged"])))
 
 
+@st.composite
+def cohort_stats(draw):
+    qs = sorted(draw(st.lists(unit, min_size=5, max_size=5)))
+    return CohortStats(draw(st.sampled_from(["F", "M"])), draw(st.integers(0, 15)) * 10,
+                       draw(st.integers(1, 10 ** 6)), *qs, draw(unit))
+
+
 def cell(value):
     return "" if value is None else fmt6(value) if isinstance(value, float) else str(value)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(results(), min_size=1, max_size=5))
+@given(st.lists(results(), max_size=5))
 def test_csv_cells_match_json_values(people):
     table = render_persons_csv(people, CONFIG)
     doc = json.loads(render_json(people, [], [], CONFIG))
     lines = list(io.StringIO(table, newline=""))
     assert lines[0] == "# config " + json.dumps(CONFIG, sort_keys=True) + "\n"
     header, *rows = csv.reader(lines[1:])
-    width = max(len(p["epsilons"]) for p in doc["persons"])
+    width = max((len(p["epsilons"]) for p in doc["persons"]), default=0)
     assert header == (["person_id", "sex", "age", "mode", "n_bits", "H"]
                       + [f"eps_{h}" for h in range(width)] + ["eps_weighted"])
+    assert set(STATS_COLUMNS) <= set(header)
     assert len(rows) == len(doc["persons"])
     for row, person in zip(rows, doc["persons"]):
         eps = person["epsilons"] + [None] * (width - len(person["epsilons"]))
         values = {**person, **{f"eps_{h}": e for h, e in enumerate(eps)}}
         assert row == [cell(values[name]) for name in header]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cohort_stats(), max_size=5))
+def test_cohort_csv_cells_match_json_values(stats):
+    table = render_cohorts_csv(stats, CONFIG)
+    doc = json.loads(render_json([], stats, [], CONFIG))
+    lines = list(io.StringIO(table, newline=""))
+    assert lines[0] == "# config " + json.dumps(CONFIG, sort_keys=True) + "\n"
+    header, *rows = csv.reader(lines[1:])
+    assert header == ["sex", "decade", "count", "q0", "q1", "q2", "q3", "q4", "mean"]
+    assert rows == [[cell(cohort[name]) for name in header] for cohort in doc["cohorts"]]
+
+
+def test_empty_persons_table_keeps_its_header():
+    table = render_persons_csv([], CONFIG)
+    assert table.split("\n")[1:] == ["person_id,sex,age,mode,n_bits,H,eps_weighted", ""]
+    assert read_stats_people(table) == []
 
 
 @settings(max_examples=200, deadline=None)
