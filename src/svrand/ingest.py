@@ -52,8 +52,10 @@ _MS_PER_DAY = 86_400_000
 _DEFAULT_HEADER = "index\ttime\tinterval\tannotation"
 
 # Files are written in pieces of this many rows, which bounds the
-# temporaries of the column-wise formatting.
-_CHUNK_ROWS = 1 << 14
+# temporaries of the column-wise formatting: per piece, the (rows, 9) int64
+# clock digits, the clock and row strings and the joined text for one write,
+# about 0.6 MiB above the series at 2048 rows, whatever the file's length.
+_CHUNK_ROWS = 1 << 11
 
 # The fixed clock layout HH:MM:SS.mmm: where its digits sit, what each digit
 # is worth in milliseconds, and the radix it is written in.
@@ -382,7 +384,9 @@ def write_holter(series: RRSeries, dest) -> None:
 
     The header is passed through verbatim; columns are tab separated; the
     interval keeps its shortest exact decimal form, the time is written with
-    millisecond precision.
+    millisecond precision.  The rows are formatted and written in pieces of
+    2048, so one piece's digits and strings are all the memory the write
+    takes beyond the series.
     """
     with open(os.fspath(dest), "w", encoding="utf-8") as fh:
         fh.write(series.header + "\n")

@@ -29,6 +29,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def biased_coin(n: int, epsilon: float, seed: int) -> BitSequence:
@@ -37,6 +39,8 @@ def biased_coin(n: int, epsilon: float, seed: int) -> BitSequence:
         raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     u = np.random.default_rng(seed).random(n)
     return BitSequence.from_array((u >= 0.5 + epsilon).astype(np.int64))
 
@@ -50,9 +54,21 @@ def synthetic_rr(spec: SourceSpec) -> RRSeries:
     """
     rng = np.random.default_rng(spec.seed)
     i = np.arange(1, spec.n + 1)
-    intervals = (BASELINE + AMPLITUDE * np.sin(2 * np.pi * i / PERIOD)
-                 + rng.uniform(-NOISE, NOISE, spec.n))
-    times_ms = np.round(np.cumsum(intervals) * 1000).astype(np.int64) % _MS_PER_DAY
+    # Each column is built in one buffer, step by step in the order of the
+    # formula, so the rounding and the result are the formula's own.
+    intervals = np.multiply(i, 2 * np.pi)
+    intervals /= PERIOD
+    np.sin(intervals, out=intervals)
+    intervals *= AMPLITUDE
+    intervals += BASELINE
+    intervals += rng.uniform(-NOISE, NOISE, spec.n)
+    # The millisecond counts are integral floats below 2**53, so the float
+    # remainder is exact and equals the integer one.
+    time = np.cumsum(intervals)
+    time *= 1000
+    np.rint(time, out=time)
+    np.mod(time, _MS_PER_DAY, out=time)
+    time /= 1000
     return RRSeries._from_columns(
-        i, times_ms / 1000.0, intervals,
+        i, time, intervals,
         np.full(spec.n, NORMAL_ANNOTATION), np.zeros(spec.n, dtype=bool))

@@ -65,6 +65,17 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "svrand: error: n must be >= 1, got 0\n"
         assert not (tmp_path / "x.txt").exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path / "x.txt"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "svrand: error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_writes_the_fixture(self, tmp_path, capsys):
+        # tests/data/F_42_221500.txt is this command's output.
+        fixture = Path(__file__).parent / "data" / "F_42_221500.txt"
+        path = synth_file(tmp_path, n=4096, seed=7)
+        assert path.read_bytes() == fixture.read_bytes()
+
 
 class TestAnalyzeCommand:
     def test_eps_matches_library(self, tmp_path, capsys):

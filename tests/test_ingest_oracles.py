@@ -10,6 +10,7 @@ import os
 import statistics
 import string
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -23,6 +24,7 @@ from svrand import ingest
 from svrand.ingest import (NORMAL_ANNOTATION, HolterFormatError, RRRecord, RRSeries,
                            edit_perturbations, extract_nocturnal, parse_holter,
                            write_holter)
+from svrand.synth import SourceSpec, synthetic_rr
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -329,7 +331,8 @@ records = st.builds(
 
 class TestWrite:
     @SETTINGS
-    @given(rs=st.lists(records, max_size=40), chunk_rows=st.sampled_from([1, 7, 1 << 14]))
+    @given(rs=st.lists(records, max_size=40),
+           chunk_rows=st.sampled_from([1, 7, ingest._CHUNK_ROWS]))
     def test_equals_record_writer_and_round_trips(self, rs, chunk_rows):
         series = RRSeries(rs, header="index time interval annotation")
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
@@ -337,6 +340,27 @@ class TestWrite:
         assert text == record_write(series)
         if rs:
             assert serialized(holter_parse(text)) == text
+
+    def test_pieces_do_not_change_the_text(self):
+        # Three whole pieces and a short fourth, against one piece.
+        series = synthetic_rr(SourceSpec(n=3 * ingest._CHUNK_ROWS + 5, seed=11))
+        with mock.patch.object(ingest, "_CHUNK_ROWS", 1 << 20):
+            whole = serialized(series)
+        assert serialized(series) == whole
+
+    @pytest.mark.parametrize("n", [1 << 15, 1 << 17])
+    def test_peak_memory_is_one_piece(self, tmp_path, n):
+        # Above the series, the write holds one piece's clock digits and
+        # strings, about 0.6 MiB at 2048 rows whatever n is.  16384-row
+        # pieces held 4.4 MiB.
+        series = synthetic_rr(SourceSpec(n=n, seed=1))
+        tracemalloc.start()
+        try:
+            write_holter(series, tmp_path / "rr.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 # -- pre-processing ----------------------------------------------------------

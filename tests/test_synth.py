@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ class TestBiasedCoin:
             biased_coin(10, -0.01, seed=0)
         with pytest.raises(ValueError):
             biased_coin(-1, 0.1, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            biased_coin(10, 0.1, seed=-1)
 
 
 class TestSyntheticRR:
@@ -62,3 +66,21 @@ class TestSyntheticRR:
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
                 SourceSpec(n=n, seed=0)
+        # A negative seed is the spec's error, not numpy's.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SourceSpec(n=1, seed=-1)
+
+    def test_peak_memory_per_row(self):
+        # The returned columns take 29 bytes a row: index, time and interval
+        # at 8 each, a 4-byte annotation and the edited flag.  Each float
+        # column is built in its own buffer, and only the noise is drawn into
+        # a third one; a temporary per term of the formula peaked at 37.
+        n = 1 << 17
+        synthetic_rr(SourceSpec(n=1, seed=0))   # imports numpy's lazy modules
+        tracemalloc.start()
+        try:
+            synthetic_rr(SourceSpec(n=n, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * n
