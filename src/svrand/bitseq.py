@@ -38,60 +38,72 @@ class BitSequence:
     """Immutable sequence of 0/1 symbols.
 
     `BitSequence(text)` reads a string of '0' and '1'; `from_array` takes an
-    array or any iterable of 0/1 values.  Stored as a read-only uint8 array of 0s
-    and 1s; the text form, `str(seq)`, is derived on demand.
+    array or any iterable of 0/1 values.  Stored packed 8 bits to a byte, as
+    a read-only uint8 array in np.packbits order (first bit most significant)
+    whose last byte's pad bits are 0, plus the length n.  The unpacked array,
+    `to_array()`, and the text form, `str(seq)`, are derived on demand.
     """
 
-    __slots__ = ("_arr",)
+    __slots__ = ("_packed", "_n")
 
     def __init__(self, bits: str = ""):
         if not isinstance(bits, str):
             raise TypeError(f"BitSequence reads a str of 0s and 1s, got "
                             f"{type(bits).__name__}; use BitSequence.from_array")
         arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        if (arr > 1).any():
+        if arr.size and arr.max() > 1:
             bad = sorted(set(bits) - _VALID_BITS)
             raise ValueError(f"bit sequence may contain only '0' and '1', got {bad}")
-        arr.flags.writeable = False
-        self._arr = arr
+        self._packed, self._n = np.packbits(arr), arr.size
+        self._packed.flags.writeable = False
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "BitSequence":
-        """Adopt a uint8 array already known to hold only 0s and 1s."""
+    def _wrap(cls, packed: np.ndarray, n: int) -> "BitSequence":
+        """Adopt n bits packed by np.packbits, the pad bits of the last byte 0."""
         seq = cls.__new__(cls)
-        arr.flags.writeable = False
-        seq._arr = arr
+        packed.flags.writeable = False
+        seq._packed, seq._n = packed, n
         return seq
 
     @classmethod
     def from_array(cls, arr) -> "BitSequence":
         """Build from a 1-D array or iterable of 0/1 values of any numeric or bool type."""
         arr = np.asarray(arr if isinstance(arr, np.ndarray) else list(arr))
-        with np.errstate(invalid="ignore"):  # NaN or inf fails the check below
-            bits = arr.astype(np.uint8)
-        # Only a uint8 or bool input is sure to survive the cast unchanged.
-        exact = arr.dtype in (np.uint8, np.bool_)
-        if arr.ndim != 1 or (bits > 1).any() or (not exact and (bits != arr).any()):
+        bits = arr  # a uint8 or bool input is packed as it is
+        if arr.dtype not in (np.uint8, np.bool_):
+            # Only these two are sure to survive the cast unchanged.
+            with np.errstate(invalid="ignore"):  # NaN or inf fails the check below
+                bits = arr.astype(np.uint8)
+        if (arr.ndim != 1 or (bits.size and bits.max() > 1)
+                or (bits is not arr and (bits != arr).any())):
             raise ValueError("bits must be a 1-D array of 0s and 1s")
-        return cls._wrap(bits)
+        return cls._wrap(np.packbits(bits), bits.size)
 
     def to_array(self) -> np.ndarray:
-        """Return the bits as a read-only uint8 array of 0s and 1s."""
-        return self._arr
+        """Return the bits unpacked, as a new read-only uint8 array of 0s and 1s."""
+        bits = np.unpackbits(self._packed, count=self._n)
+        bits.flags.writeable = False
+        return bits
 
     def __len__(self) -> int:
-        return self._arr.size
+        return self._n
 
     def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return BitSequence._wrap(self._arr[idx])
-        return int(self._arr[idx])
+        r = range(self._n)[idx]  # an int index past either end raises IndexError
+        if isinstance(r, int):
+            return int(self._packed[r >> 3]) >> (7 - (r & 7)) & 1
+        if not r:
+            return BitSequence()
+        lo, hi = sorted((r[0], r[-1]))  # unpack only the bytes that hold the slice
+        bits = np.unpackbits(self._packed[lo >> 3:(hi >> 3) + 1])
+        return BitSequence._wrap(np.packbits(bits[r[0] - (lo & ~7)::r.step][:len(r)]), len(r))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitSequence) and np.array_equal(self._arr, other._arr)
+        return (isinstance(other, BitSequence) and self._n == other._n
+                and np.array_equal(self._packed, other._packed))
 
     def __str__(self) -> str:
-        return (self._arr + ord("0")).tobytes().decode("ascii")
+        return (self.to_array() + ord("0")).tobytes().decode("ascii")
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -223,25 +235,27 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     The table stores only length max_len, 4 * 2**max_len bytes of uint32
     counts, and derives the shorter lengths on access.  The length-L windows
     (L = max_len, or n when a linear sequence is shorter) are read from the
-    bits packed 8 to a byte: the big-endian 64-bit word at byte j holds the
+    sequence's packed bytes: the big-endian 64-bit word at byte j holds the
     eight windows that start at bits 8j..8j+7, each one shift and mask away.
     Words are read _BLOCK // 8 bytes at a time, so no array of all n window
     values is ever built.  np.add.at adds each block into the stored level,
     which stays zero if a linear sequence is shorter than max_len; the last
     window gives the table's `last`.  No count exceeds n, so n must be below
     2**32.  Cyclic mode counts the sequence with its first L - 1 bits
-    appended, so it needs L <= n.
+    appended, unpacked once and packed again, so it needs L <= n.
     """
     _check_count_args(max_len, mode)
-    bits = s.to_array()
-    n = bits.size
+    n = len(s)
     if n >= 1 << 32:
         raise ValueError(f"uint32 counts need n < 2**32, got n={n}")
+    packed, size = s._packed, n
     if mode == "cyclic":
         if max_len > n:
             raise ValueError(
                 f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
+        bits = s.to_array()
         bits = np.concatenate([bits, bits[:max_len - 1]])
+        packed, size = np.packbits(bits), bits.size
     top = min(max_len, n)
     counts = np.zeros(1 << max_len, dtype=np.uint32)
     if not top:
@@ -249,9 +263,9 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     # Word j is bytes j..j+7 of the packed bits; the zero bytes let every
     # byte of the sequence start a word.  _check_count_args keeps L <= 26,
     # so a window never leaves its word and its value fits in uint32.
-    packed = np.concatenate([np.packbits(bits), np.zeros(8, dtype=np.uint8)])
+    packed = np.concatenate([packed, np.zeros(8, dtype=np.uint8)])
     words = np.ndarray(packed.size - 8, dtype=">u8", buffer=packed, strides=(1,))
-    windows = bits.size - top + 1
+    windows = size - top + 1
     mask = (1 << top) - 1
     if top == max_len:
         step = max(1, _BLOCK // 8)
@@ -296,5 +310,5 @@ def debruijn(order: int) -> BitSequence:
         word = (word * order)[:order]
         last_zero = word.rfind(0)
         if last_zero < 0:
-            return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
+            return BitSequence.from_array(np.frombuffer(out, dtype=np.uint8))
         word[last_zero:] = b"\x01"

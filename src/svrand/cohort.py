@@ -120,4 +120,4 @@ def merge_persons(sequences: Sequence[BitSequence]) -> BitSequence:
     """Concatenate per-person sequences into one, in order."""
     if not sequences:
         return BitSequence()
-    return BitSequence._wrap(np.concatenate([s.to_array() for s in sequences]))
+    return BitSequence.from_array(np.concatenate([s.to_array() for s in sequences]))

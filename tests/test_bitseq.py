@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -104,6 +105,42 @@ class TestBitSequence:
     def test_constructor_reads_only_text(self, bits):
         with pytest.raises(TypeError, match="BitSequence.from_array"):
             BitSequence(bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text("01", max_size=200), step=st.sampled_from([1, 2, 3, 8, -1, -3]),
+           bounds=st.tuples(st.none() | st.integers(-210, 210),
+                            st.none() | st.integers(-210, 210)))
+    def test_packed_storage_matches_the_array(self, text, step, bounds):
+        # Lengths 0..200 put every n % 8 in the last, partly used byte.
+        a = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+        s = BitSequence.from_array(a)
+        assert np.array_equal(s.to_array(), a) and str(s) == text
+        assert BitSequence(text) == s and str(BitSequence(str(s))) == text
+        assert [s[i] for i in range(-len(a), len(a))] == [*a.tolist(), *a.tolist()]
+        for i in (len(a), -len(a) - 1):
+            with pytest.raises(IndexError):
+                s[i]
+        cut = slice(*bounds, step)
+        assert np.array_equal(s[cut].to_array(), a[cut])
+        assert s[cut] == BitSequence.from_array(a[cut])
+
+    def test_equality_compares_the_length(self):
+        # Both pack to the one byte 0x00.
+        assert BitSequence("0") != BitSequence("00")
+
+    def test_from_array_peak_memory_is_the_packed_bits(self):
+        # A uint8 input is checked by a reduction and packed as it is: no
+        # full-size copy or mask beside the n/8 packed bytes.
+        n = 1 << 22
+        bits = np.random.default_rng(29).integers(0, 2, n, dtype=np.uint8)
+        BitSequence.from_array(bits[:64])
+        tracemalloc.start()
+        try:
+            BitSequence.from_array(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n // 8 + (64 << 10)
 
 
 class TestCountSubstrings:
@@ -227,8 +264,8 @@ class TestCountSubstringsFast:
 
     @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
     def test_rejects_n_beyond_uint32(self, mode):
-        # A zero-stride view: 2**32 bits that take no memory.
-        s = BitSequence._wrap(np.broadcast_to(np.uint8(0), (1 << 32,)))
+        # 2**32 bits packed in a zero-stride view of 2**29 bytes: no memory.
+        s = BitSequence._wrap(np.broadcast_to(np.uint8(0), (1 << 29,)), 1 << 32)
         with pytest.raises(ValueError, match="n < 2\\*\\*32"):
             count_substrings_fast(s, 3, mode)
 

@@ -155,7 +155,7 @@ def one_mask_cut(s, pattern):
     for first, length in ((pos[0::2], pattern.accel), (pos[1::2], pattern.decel)):
         for k in range(length):
             keep[first + k] = False
-    return BitSequence._wrap(a[keep].view(np.uint8))
+    return BitSequence.from_array(a[keep])
 
 
 def check_every_short_sequence(i, j, max_n):
@@ -258,11 +258,11 @@ class TestCutTrends:
         check_every_short_sequence(i, j, 12)
 
     def test_peak_memory_per_input_bit(self):
-        # The kept bits go into one n-byte buffer, 1 byte per input bit; the
-        # masks and head positions of one block of _BLOCK bits come to about
-        # 1.6 MiB more whatever n is, 0.4 byte per bit here.  A mask or an
-        # array of positions over the whole sequence would add 1 byte per
-        # bit or more: the one-mask cut peaked at 2.7.
+        # The kept bits are packed into one buffer of n/8 bytes; the unpacked
+        # block, masks and head positions of one block of _BLOCK bits come to
+        # under 2 MiB more whatever n is.  A mask or an array of positions
+        # over the whole sequence would add 1 byte per bit or more: the
+        # one-mask cut peaked at 2.7, the unpacked n-byte output at 1.4.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
@@ -271,7 +271,7 @@ class TestCutTrends:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * len(s)
+        assert peak < len(s) // 8 + (2 << 20)
 
     @pytest.mark.parametrize("accel,decel", EDGE_PATTERNS)
     @pytest.mark.parametrize("bit", "01")
