@@ -18,8 +18,8 @@ __all__ = [
     "DEBRUIJN_BUDGET_BITS",
 ]
 
-# count_substrings_fast stores 2^L uint32 counts, but a length L is refused where
-# the eager reference table's 2^(L+1) integers would not fit comfortably in memory.
+# count_substrings_fast stores 2^L uint16 or uint32 counts, but a length L is refused
+# where the eager reference table's 2^(L+1) integers would not fit comfortably in memory.
 MAX_TABLE_ENTRIES = 1 << 27
 
 # Ceiling on generated De Bruijn sequence length (in bits).
@@ -120,7 +120,7 @@ class CountTable:
     (first bit most significant), so "0" and "00" are distinct keys.
 
     `levels` holds the longest len(levels) lengths (count_substrings_fast
-    keeps only max_len, 4 * 2**max_len bytes); `level` derives each shorter
+    keeps only max_len, as uint16 or uint32); `level` derives each shorter
     one with `halve`, as a read-only array the table does not keep.  `last`
     is the value of a linear sequence's last min(max_len, n) bits; cyclic
     tables do not read it.
@@ -150,9 +150,10 @@ class CountTable:
         A pattern's count is the sum of its two one-bit extensions, the run's
         even and odd entries, plus in linear mode the window of the last
         `length` bits, which nothing extends.  `start` is the value of the
-        run's first shorter pattern.
+        run's first shorter pattern.  The sums are at least uint32, so a
+        uint16 level's halves cannot wrap.
         """
-        counts = np.add(upper[0::2], upper[1::2])
+        counts = np.add(upper[0::2], upper[1::2], dtype=np.promote_types(upper.dtype, np.uint32))
         tail = (self._last & ((1 << length) - 1)) - start
         if self.mode == "linear" and 1 <= length <= self.source_len and 0 <= tail < counts.size:
             counts[tail] += 1
@@ -232,47 +233,50 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
 def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
     """Production counter; output equals count_substrings(s, max_len, mode).
 
-    The table stores only length max_len, 4 * 2**max_len bytes of uint32
-    counts, and derives the shorter lengths on access.  The length-L windows
-    (L = max_len, or n when a linear sequence is shorter) are read from the
-    sequence's packed bytes: the big-endian 64-bit word at byte j holds the
-    eight windows that start at bits 8j..8j+7, each one shift and mask away.
-    Words are read _BLOCK // 8 bytes at a time, so no array of all n window
-    values is ever built.  np.add.at adds each block into the stored level,
-    which stays zero if a linear sequence is shorter than max_len; the last
-    window gives the table's `last`.  No count exceeds n, so n must be below
-    2**32.  Cyclic mode counts the sequence with its first L - 1 bits
-    appended, unpacked once and packed again, so it needs L <= n.
+    The table stores only length max_len, 2**max_len uint16 counts (uint32
+    where the windows number 2**(max_len + 8) or more, a mean count of 256),
+    and derives the shorter lengths on access.  Each window adds one, so a
+    uint16 count that wraps leaves the sum short of the window count; the
+    windows are then counted again into uint32.  No count exceeds n, so n
+    must be below 2**32.  The length-L windows (L = max_len, or n when a
+    linear sequence is shorter) are read from big-endian 64-bit words: the
+    word at byte j holds the eight windows that start at bits 8j..8j+7, each
+    one shift and mask away.  Words are read in place from the stored bytes,
+    _BLOCK // 8 at a time, but for the last few: those come from a short
+    tail with 8 zero bytes after it, which in cyclic mode also appends the
+    first L - 1 bits (so it needs L <= n).  np.add.at adds each block into
+    the stored level, which stays zero if a linear sequence is shorter than
+    max_len; the last window gives the table's `last`.
     """
     _check_count_args(max_len, mode)
     n = len(s)
     if n >= 1 << 32:
         raise ValueError(f"uint32 counts need n < 2**32, got n={n}")
-    packed, size = s._packed, n
-    if mode == "cyclic":
-        if max_len > n:
-            raise ValueError(
-                f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
-        bits = s.to_array()
-        bits = np.concatenate([bits, bits[:max_len - 1]])
-        packed, size = np.packbits(bits), bits.size
+    if mode == "cyclic" and max_len > n:
+        raise ValueError(
+            f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
     top = min(max_len, n)
-    counts = np.zeros(1 << max_len, dtype=np.uint32)
-    if not top:
-        return CountTable(max_len, mode, n, [counts], 0)
-    # Word j is bytes j..j+7 of the packed bits; the zero bytes let every
-    # byte of the sequence start a word.  _check_count_args keeps L <= 26,
-    # so a window never leaves its word and its value fits in uint32.
-    packed = np.concatenate([packed, np.zeros(8, dtype=np.uint8)])
-    words = np.ndarray(packed.size - 8, dtype=">u8", buffer=packed, strides=(1,))
-    windows = size - top + 1
+    # Words from byte `head` on may reach past the whole stored bytes.
+    # _check_count_args keeps L <= 26, so a window never leaves its word,
+    # its value fits in uint32 and the first L - 1 bits lie in 4 bytes.
+    head = max((n >> 3) - 7, 0)
+    rest = np.unpackbits(s._packed[head:], count=n - 8 * head)
+    if mode == "cyclic":
+        rest = np.concatenate([rest, np.unpackbits(s._packed[:4], count=max_len - 1)])
+    windows = 8 * head + rest.size - top + 1
+    rest = np.concatenate([np.packbits(rest), np.zeros(8, dtype=np.uint8)])
+    words = (np.ndarray(head, dtype=">u8", buffer=s._packed, strides=(1,)),
+             np.ndarray((windows + 7) // 8 - head, dtype=">u8", buffer=rest, strides=(1,)))
     mask = (1 << top) - 1
-    if top == max_len:
-        step = max(1, _BLOCK // 8)
-        vals = np.empty(8 * step, dtype=np.uint32)
-        for first in range(0, (windows + 7) // 8, step):
-            block = words[first:first + step].astype(np.uint64)
-            filled = 0
+    step = max(1, _BLOCK // 8)
+    vals = np.empty(8 * step, dtype=np.uint32)
+    for dtype in (np.uint16, np.uint32)[windows >= 1 << (max_len + 8):]:
+        counts = np.zeros(1 << max_len, dtype=dtype)
+        if top < max_len:
+            break  # a linear sequence shorter than max_len has no window to add
+        first = 0  # the index of the block's first word
+        for block in (w[lo:lo + step] for w in words for lo in range(0, w.size, step)):
+            block, filled = block.astype(np.uint64), 0
             for r in range(8):
                 # Offset r has a window in the words before (windows - r + 7) // 8.
                 part = block[:(windows - r + 7) // 8 - first]
@@ -280,10 +284,14 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
                                out=vals[filled:filled + part.size])
                 filled += part.size
             np.bitwise_and(vals[:filled], np.uint32(mask), out=vals[:filled])
-            # A Python 1 would leave np.add.at's fast path for uint32.
-            np.add.at(counts, vals[:filled], np.uint32(1))
+            # A Python 1 would leave np.add.at's fast path.
+            np.add.at(counts, vals[:filled], dtype(1))
+            first += block.size
+        if counts.sum(dtype=np.uint64) == windows:
+            break
+        del counts  # a wrapped uint16 count: freed before the uint32 table is made
     j, r = divmod(windows - 1, 8)
-    last = int(words[j]) >> (64 - top - r) & mask
+    last = int(words[1][j - head]) >> (64 - top - r) & mask
     return CountTable(max_len, mode, n, [counts], last)
 
 

@@ -31,9 +31,9 @@ __all__ = [
 ]
 
 # Histories per piece of a count level in epsilon_profile's walk: the float
-# buffer stays at 1 MiB.  Each piece is halved _PASS levels per pass;
+# buffer stays at 256 KiB.  Each piece is halved _PASS levels per pass;
 # 2**_PASS must divide 2 * _CHUNK.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 _PASS = 6
 
 
@@ -100,10 +100,11 @@ def _walk_down(counts: CountTable) -> list[float]:
     Each pass cuts a level into pieces of 2 * _CHUNK counts and halves each
     piece _PASS times, taking each level's ratios while the piece is in
     cache; the halved pieces make the next pass's level, 2**_PASS times
-    smaller.  The top level is only read.  No deviation exceeds 1/2, so once
-    a level has reached 1/2 its later pieces are only halved.  Every ratio
-    sees the same float operations whatever the piece, and the maximum is
-    exact, so the result does not depend on _CHUNK or _PASS.
+    smaller, as uint32 whatever the top level's dtype.  The top level is
+    only read.  No deviation exceeds 1/2, so once a level has reached 1/2
+    its later pieces are only halved.  Every ratio sees the same float
+    operations whatever the piece, and the maximum is exact, so the result
+    depends on neither _CHUNK, _PASS nor the top level's dtype.
     """
     length = counts.max_len
     upper = counts.level(length)
@@ -111,7 +112,7 @@ def _walk_down(counts: CountTable) -> list[float]:
     with np.errstate(invalid="ignore"):
         while length:
             steps = min(_PASS, length)
-            coarse = np.empty(upper.size >> steps, dtype=upper.dtype)
+            coarse = np.empty(upper.size >> steps, dtype=np.uint32)
             size = min(2 * _CHUNK, upper.size)
             for start in range(0, upper.size, size):
                 pairs = upper[start:start + size]
@@ -141,8 +142,9 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
     with such a history up to the top, every estimate is therefore exactly
     1/2.  The count starts two lengths below the top: if a history of that
     length occurs once, the walk starts there, the two longest lengths read
-    1/2 and about 4 * 2**(H - 1) bytes of counts are held.  Otherwise the
-    top level is counted as well, about 4 * 2**(H + 1) bytes.
+    1/2 and 2**(H - 1) counts are held.  Otherwise the top level is counted
+    as well, 2**(H + 1) counts.  At the default H their mean is below 8, so
+    count_substrings_fast stores both as uint16.
     """
     n = len(s)
     bound = max_history(n)
@@ -168,9 +170,10 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
         # to 1/2.  A top past n is left to the top count, which refuses it in
         # cyclic mode.
         table = count_substrings_fast(s, top - 2, mode)
-        if (table.level(top - 2) == 1).any():
+        level = table.level(top - 2)
+        if any((level[i:i + _CHUNK] == 1).any() for i in range(0, level.size, _CHUNK)):
             walked = [*_walk_down(table), 0.5, 0.5]
-        del table  # not held while the top is counted
+        del table, level  # not held while the top is counted
     if walked is None:
         walked = _walk_down(count_substrings_fast(s, top, mode))
     eps = (*walked, *(None,) * (use_h + 1 - top))

@@ -42,7 +42,7 @@ def biased_coin(n: int, epsilon: float, seed: int) -> BitSequence:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     u = np.random.default_rng(seed).random(n)
-    return BitSequence.from_array((u >= 0.5 + epsilon).astype(np.int64))
+    return BitSequence.from_array(u >= 0.5 + epsilon)
 
 
 def synthetic_rr(spec: SourceSpec) -> RRSeries:

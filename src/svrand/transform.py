@@ -41,7 +41,7 @@ def discretize_accel(series: RRSeries, eta1: float = 0.0) -> BitSequence:
     iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")
-    return BitSequence.from_array(np.where(iv[1:] >= iv[:-1] + eta1, 0, 1))
+    return BitSequence.from_array(~(iv[1:] >= iv[:-1] + eta1))
 
 
 def discretize_rapid(series: RRSeries, eta2: float) -> BitSequence:
@@ -51,7 +51,7 @@ def discretize_rapid(series: RRSeries, eta2: float) -> BitSequence:
     iv = series.interval
     if iv.size < 2:
         raise ValueError(f"need at least 2 records, got {iv.size}")
-    return BitSequence.from_array(np.where(np.abs(np.diff(iv)) >= eta2, 0, 1))
+    return BitSequence.from_array(~(np.abs(np.diff(iv)) >= eta2))
 
 
 def discretize_mono(series: RRSeries) -> BitSequence:
@@ -61,7 +61,7 @@ def discretize_mono(series: RRSeries) -> BitSequence:
         raise ValueError(f"need at least 3 records, got {iv.size}")
     a, b, c = iv[:-2], iv[1:-1], iv[2:]
     mono = ((c >= b) & (b >= a)) | ((c <= b) & (b <= a))
-    return BitSequence.from_array(np.where(mono, 0, 1))
+    return BitSequence.from_array(~mono)
 
 
 # Bits cut_trends decides at a time; its scratch is O(_BLOCK) beside the output.

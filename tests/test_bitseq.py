@@ -1,10 +1,11 @@
 import random
+import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svrand import bitseq
@@ -268,6 +269,95 @@ class TestCountSubstringsFast:
         s = BitSequence._wrap(np.broadcast_to(np.uint8(0), (1 << 29,)), 1 << 32)
         with pytest.raises(ValueError, match="n < 2\\*\\*32"):
             count_substrings_fast(s, 3, mode)
+
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    @pytest.mark.parametrize("seen, dtype", [(65535, np.uint16), (65536, np.uint32)])
+    def test_uint16_level_and_its_wrap(self, mode, seen, dtype):
+        # A run of zeros between two 1s holds the all-zero 9-bit pattern `seen`
+        # times; the random bits after it have a 1 at every other position.
+        # The windows number fewer than 2**(9 + 8), so the level is counted as
+        # uint16; at 65536 that count wraps to 0, the sum check fails and the
+        # level is counted again as uint32.
+        rng = np.random.default_rng(seen)
+        text = "1" + "0" * (seen + 8) + "".join(f"1{b}" for b in rng.integers(0, 2, 150))
+        s = BitSequence(text)
+        table = count_substrings_fast(s, 9, mode)
+        assert len(text) < 1 << 17
+        assert table.level(9).dtype == dtype
+        assert table.count("0" * 9) == seen
+        assert table == count_substrings(s, 9, mode)
+
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    @pytest.mark.parametrize("extra, dtype", [(-1, np.uint16), (0, np.uint32)])
+    def test_uint32_from_the_start_at_mean_count_256(self, mode, extra, dtype):
+        # 2**(L + 8) windows or more, a mean count of 256, are counted as
+        # uint32 at once; one fewer is counted as uint16.
+        length = 3
+        windows = (1 << (length + 8)) + extra
+        n = windows + (length - 1 if mode == "linear" else 0)
+        s = BitSequence.from_array(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+        table = count_substrings_fast(s, length, mode)
+        assert table.level(length).dtype == dtype
+        assert table == count_substrings(s, length, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.sampled_from([7, 16, 64, 256]), mode=st.sampled_from(bitseq.COUNTINGS),
+           max_len=st.integers(1, 12), first=st.sampled_from("01"),
+           runs=st.lists(st.integers(1, 60), min_size=1, max_size=40),
+           long_run=st.one_of(st.none(), st.tuples(st.integers(0, 40),
+                                                   st.integers(65533, 65538))))
+    def test_skewed_inputs(self, block, mode, max_len, first, runs, long_run):
+        # Alternating runs of one bit pile the counts onto few patterns.  A
+        # long run holds its all-equal pattern 65533..65538 times, around the
+        # uint16 limit.  The level is uint32 exactly where the windows number
+        # 2**(L + 8) or more, or a count passes 65535.
+        if long_run is not None:
+            at, seen = long_run
+            runs.insert(at, seen + max_len - 1)
+        text = "".join(str((int(first) + i) % 2) * run for i, run in enumerate(runs))
+        assume(mode == "linear" or max_len <= len(text))
+        s = BitSequence(text)
+        with mock.patch.object(bitseq, "_BLOCK", block):
+            table = count_substrings_fast(s, max_len, mode)
+        reference = count_substrings(s, max_len, mode)
+        assert table == reference
+        top = reference.level(max_len)
+        wide = top.sum() >= 1 << (max_len + 8) or top.max() > 65535
+        assert table.level(max_len).dtype == (np.uint32 if wide else np.uint16)
+
+    @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
+    def test_peak_memory_is_the_level(self, mode):
+        # 2**22 bits at L = 19: the uint16 level takes 1 MiB, and a block's
+        # words and window values a few hundred KiB.  Neither mode copies
+        # the packed bits; cyclic mode appends its first L - 1 bits to a tail
+        # of a few bytes.
+        n = 1 << 22
+        s = BitSequence.from_array(np.random.default_rng(19).integers(0, 2, n, dtype=np.uint8))
+        count_substrings_fast(s, 3, mode)
+        tracemalloc.start()
+        try:
+            table = count_substrings_fast(s, 19, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.level(19).dtype == np.uint16
+        assert peak < (1 << 20) + (768 << 10)
+
+    def test_uint16_add_at_keeps_the_fast_path(self):
+        # np.add.at on a uint16 table with a uint16 scalar must take the same
+        # fast path as uint32; a slow path is many times slower.
+        idx = np.random.default_rng(16).integers(0, 1 << 20, 1 << 20).astype(np.uint32)
+
+        def best(dtype):
+            times = []
+            for _ in range(5):
+                table = np.zeros(1 << 20, dtype=dtype)
+                start = time.perf_counter()
+                np.add.at(table, idx, dtype(1))
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(np.uint16) < 3 * best(np.uint32)
 
     @settings(max_examples=200, deadline=None)
     @given(block=st.sampled_from([1, 2, 7]), k=st.integers(1, 5),

@@ -274,10 +274,10 @@ class TestEpsilonProfile:
         assert all(e is not None and 0.0 <= e <= 0.5 for e in profile.epsilons)
 
     def test_peak_memory_is_the_count_table(self):
-        # 2**22 bits: H = 21, so the table stores at most its top level, 2**22
-        # uint32 counts (2**20 where a length-20 history occurs once).  Neither
-        # the counter nor the walk down may hold a buffer that scales with n or
-        # 2**H beside it.
+        # 2**22 bits: H = 21, and a length-20 history occurs once, so the
+        # table stores only length 20: 2**20 uint16 counts, 2 MiB.  Neither
+        # the counter, the singleton search nor the walk down may hold a
+        # buffer that scales with n or 2**H beside it.
         rng = np.random.default_rng(22)
         s = BitSequence.from_array(rng.integers(0, 2, 1 << 22, dtype=np.uint8))
         tracemalloc.start()
@@ -287,7 +287,7 @@ class TestEpsilonProfile:
         finally:
             tracemalloc.stop()
         assert profile.max_h == 21
-        assert peak < 4 * (1 << 22) + (2 << 20)
+        assert peak < 3 << 20
 
     def test_profile_validates_range_and_bound(self):
         with pytest.raises(ValueError):
@@ -341,7 +341,7 @@ class TestProfileWalk:
 
     @pytest.mark.parametrize("mode, end", [("linear", 0), ("linear", 1), ("cyclic", 1)])
     def test_top_spanning_several_pieces(self, mode, end):
-        # 2**20 + 5 bits: H = 19, so a top level of length 20 makes eight
+        # 2**20 + 5 bits: H = 19, so a top level of length 20 makes several
         # pieces of 2 * _CHUNK.  (epsilon_profile counts these bits only to
         # length 18, which has a singleton, so the walk runs on its own.)
         # Bits ending in 1s put the linear tail's history in the last piece at
@@ -355,7 +355,7 @@ class TestProfileWalk:
 
     def test_saturated_level_is_divided_once(self):
         # The first pass down from length 20 over 2**20 + 5 random bits takes
-        # levels 19..14 in eight pieces each.  Level 19's histories occur about
+        # levels 19..14 in 2**20 // (2 * _CHUNK) pieces each.  Level 19's histories occur about
         # twice, so its first piece already holds a deviation of 1/2; level
         # 14's occur about 64 times, and it never reaches 1/2.
         bits = np.random.default_rng(20).integers(0, 2, (1 << 20) + 5, dtype=np.uint8)
@@ -378,7 +378,7 @@ class TestProfileWalk:
             eps = estimator._walk_down(count_substrings_fast(BitSequence.from_array(bits), 20))
         divided = [level_of[id(c.args[1])][0] for c in ratio.call_args_list]
         assert divided.count(19) == 1
-        assert divided.count(14) == 8
+        assert divided.count(14) == (1 << 20) // (2 * estimator._CHUNK)
         assert tuple(eps) == oracle_epsilons(table, 19)
 
     @pytest.mark.parametrize("walk", [(2, 2), (1, 1)])

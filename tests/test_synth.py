@@ -35,6 +35,20 @@ class TestBiasedCoin:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             biased_coin(10, 0.1, seed=-1)
 
+    def test_peak_memory_per_bit(self):
+        # The uniform draws take 8 bytes a bit and the bool comparison one
+        # more; from_array packs the bool as it is.  An int64 copy of the
+        # bits, as from_array once received, peaked at 18.
+        n = 1 << 20
+        biased_coin(64, 0.05, 3)   # imports numpy's lazy modules
+        tracemalloc.start()
+        try:
+            biased_coin(n, 0.05, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n
+
 
 class TestSyntheticRR:
     def test_intervals_follow_the_fixed_formula(self):
