@@ -85,7 +85,11 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float, float, floa
     frac = pos - lo
     diff = b - a
     qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
-    return (*qs.tolist(), float(np.mean(arr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(arr)
+    if not np.isfinite(mean):  # the sum overflowed; the mean of finite values does not
+        mean = np.sum(arr / arr.size)
+    return (*qs.tolist(), float(mean))
 
 
 def bucket(people: Sequence[tuple[PersonMeta, float | None]]

@@ -65,12 +65,34 @@ _CLOCK_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1000,
                           100, 10, 1])
 _CLOCK_RADIX = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
 
+# The fixed-width reader's widest fields.  An index of at most 18 digits is
+# below 2**63, and an interval of at most 15 digits has a mantissa below 2**53
+# and a power of ten below 2**53, so the quotient of the two exact doubles is
+# the correctly rounded value float() gives (Clinger 1990).  A 15-character
+# annotation leaves the table path's field one byte to show a cut.
+_INDEX_DIGITS = 18
+_MANTISSA_DIGITS = 15
+_ANNOTATION_WIDTH = 15
+# The longest row it takes: four fields, three tabs and the newline.
+_LONGEST_ROW = _INDEX_DIGITS + 12 + _MANTISSA_DIGITS + 1 + _ANNOTATION_WIDTH + 4
+# A run of one row layout is checked in pieces of this many rows, each piece
+# four times the last, so a layout that breaks early costs little.
+_FIRST_ROWS = 64
+# Rows whose bytes are range-checked at a time: about 0.5 MiB of scratch.
+_PIECE_ROWS = 1 << 14
+
 # One row of the table path.  The clock field holds one byte more than the
 # layout, and no annotation may fill its field, so that a cut shows.
 _ROW = np.dtype([("index", np.int64), ("time", "S13"), ("interval", np.float64),
                  ("annotation", "S16")])
 # The characters np.loadtxt splits as str.splitlines and str.split do.
 _PLAIN = bytes(range(32, 127)) + b"\t\n"
+# What the fixed-width reader finds at a row's three tabs and its end.
+_ROW_ENDS = np.array([9, 9, 9, 10], dtype=np.uint8)
+# How far above its column's lowest byte a byte of such a row may be: 9 above
+# "0" for a digit, 93 above "!" for an annotation character, and 0 elsewhere.
+_SPAN = np.zeros(256, dtype=np.uint8)
+_SPAN[ord("0")], _SPAN[ord("!")] = 9, ord("~") - ord("!")
 
 
 class HolterFormatError(Exception):
@@ -251,10 +273,136 @@ def _parse_row(line: str) -> RRRecord:
 def _parse_table(path: str) -> RRSeries | None:
     """The rows after the file's header line, read as one table.
 
-    Returns None unless the result provably equals what `_parse_row` makes
-    of each non-blank line: the header is one line to `str.splitlines`; the
-    rest is printable ASCII with tab and newline, where `np.loadtxt` breaks
-    lines and fields as `str.splitlines` and `str.split` do; every line has
+    The file is read once, as bytes with universal newlines, as open() reads
+    text.  Returns None unless the header is one line to `str.splitlines`
+    and the result provably equals what `_parse_row` makes of each non-blank
+    line: rows of fixed-width fields go to `_parse_fixed`, and any other
+    body of printable ASCII with tab and newline to `_load_table`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = data.find(b"\n") + 1 or len(data)
+    try:
+        lines = data[:start].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    if len(lines) != 1:
+        return None
+    series = _parse_fixed(data, start, lines[0])
+    if series is not None:
+        return series
+    # What translate keeps of the whole file is the header's when the body is plain.
+    if data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN):
+        return None
+    del data  # freed before numpy reads the file again
+    return _load_table(path, lines[0])
+
+
+def _horner(rows: np.ndarray, columns, out: np.ndarray, radix=None) -> None:
+    """The ASCII digits in the given columns of each row, read as one number into out.
+
+    Horner's rule: each column after the first multiplies what came before
+    by its radix (10 by default), then adds its byte.  Each byte carries 48
+    more than its digit, so the sum of those excesses is taken off at the
+    end.  A row of digits comes out exact when out's dtype holds the sum for
+    bytes of "9"; any other row comes out meaningless.
+    """
+    out[:] = rows[:, columns[0]]
+    excess = 48
+    for k, column in enumerate(columns[1:], start=1):
+        place = 10 if radix is None else int(radix[k])
+        out *= place
+        out += rows[:, column]
+        excess = excess * place + 48
+    out -= excess
+
+
+def _parse_fixed(data: bytes, start: int, header: str) -> RRSeries | None:
+    """The rows from byte `start` on, when each field keeps one width per run.
+
+    The body splits into runs of one row layout, at most one for each index
+    width.  Each run is a (rows, row length) view of the bytes; every byte
+    is checked against its column's range, and the columns are decoded by
+    digit arithmetic into the preallocated columns of the series.  Returns
+    None unless every row is four tab-separated ASCII fields: an index of
+    1-18 digits, an HH:MM:SS.mmm clock, an interval of 1-15 digits and one
+    dot whose value is positive, and an annotation of 1-15 printable
+    characters other than space.  Each field then converts exactly as
+    `_parse_row` converts it; see `_MANTISSA_DIGITS`.
+    """
+    if start == len(data):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    body = np.frombuffer(data, dtype=np.uint8)
+    runs, widths, pos = [], set(), start
+    while pos < len(data):
+        row = data[pos:data.find(b"\n", pos, pos + _LONGEST_ROW) + 1]
+        fields = row[:-1].split(b"\t")
+        if len(fields) != 4:
+            return None
+        index_w, clock_w, value_w, label_w = map(len, fields)
+        dot = fields[2].find(b".")
+        if (not 0 < index_w <= _INDEX_DIGITS or index_w in widths or clock_w != 12
+                or not 1 < value_w <= _MANTISSA_DIGITS + 1 or dot < 0
+                or not 0 < label_w <= _ANNOTATION_WIDTH):
+            return None
+        widths.add(index_w)
+        # Each column's lowest byte; _SPAN says how far above it a byte may be.
+        low = np.frombuffer(b"0" * index_w + b"\t00:00:00.000\t" + b"0" * dot + b"."
+                            + b"0" * (value_w - dot - 1) + b"\t" + b"!" * label_w
+                            + b"\n", dtype=np.uint8)
+        ends = np.flatnonzero(low < ord("!"))   # the three tabs and the newline
+        size = (len(data) - pos) // len(row)
+        rows = body[pos:pos + size * len(row)].reshape(size, len(row))
+        # The run ends at the first row whose tabs and newline sit elsewhere.
+        m, step = 0, _FIRST_ROWS
+        while m < size:
+            ok = np.all(rows[m:m + step, ends] == _ROW_ENDS, axis=1)
+            if not ok.all():
+                m += int(ok.argmin())
+                break
+            m, step = m + ok.size, 4 * step
+        runs.append((rows[:m], low, ends, dot))
+        pos += m * len(row)
+
+    n = sum(len(rows) for rows, *_ in runs)
+    width = max(int(ends[3] - ends[2]) - 1 for _, _, ends, _ in runs)
+    index = np.empty(n, dtype=np.int64)
+    ms = np.empty(n, dtype=np.uint32)   # the clock's bytes weighted sum to < 2**32
+    interval = np.empty(n, dtype=np.float64)
+    codes = np.zeros((n, width), dtype=np.uint32)
+    lo = 0
+    for rows, low, (tab1, tab2, tab3, _), dot in runs:
+        hi = lo + len(rows)
+        # Each byte within its column's range, checked in cache-sized pieces.
+        span = _SPAN[low]
+        for piece in range(0, len(rows), _PIECE_ROWS):
+            cells = rows[piece:piece + _PIECE_ROWS] - low
+            if np.any(cells > span):
+                return None
+        _horner(rows, range(tab1), index[lo:hi])
+        _horner(rows, tab1 + 1 + _CLOCK_DIGITS, ms[lo:hi], _CLOCK_RADIX)
+        mantissa = interval[lo:hi].view(np.int64)
+        _horner(rows, [c for c in range(tab2 + 1, tab3) if c != tab2 + 1 + dot], mantissa)
+        if mantissa.min() == 0:
+            return None
+        np.divide(mantissa, float(10 ** (tab3 - tab2 - 2 - dot)), out=interval[lo:hi])
+        codes[lo:hi, :len(low) - tab3 - 2] = rows[:, tab3 + 1:-1]
+        lo = hi
+    return RRSeries._from_columns(index, ms / 1000.0, interval,
+                                  codes.view(f"U{width}")[:, 0], np.zeros(n, dtype=bool),
+                                  header=header)
+
+
+def _load_table(path: str, header: str) -> RRSeries | None:
+    """The rows after the header line of a file of plain ASCII, by `np.loadtxt`.
+
+    The caller has checked that the rest of the file is printable ASCII
+    with tab and newline, where `np.loadtxt` breaks lines and fields as
+    `str.splitlines` and `str.split` do.  Returns None unless every line has
     four fields that `loadtxt` converts as `int()` and `float()` would;
     every clock converts; the interval is positive and finite; and no field
     was cut to its width.  `loadtxt` reads the file itself, in large chunks,
@@ -264,13 +412,6 @@ def _parse_table(path: str) -> RRSeries | None:
     """
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
         return None
-    with open(path, encoding="utf-8") as stream:
-        lines = stream.readline().splitlines()
-        if len(lines) != 1:
-            return None
-        while piece := stream.read(1 << 16):
-            if not piece.isascii() or piece.encode("ascii").translate(None, _PLAIN):
-                return None
     try:
         with warnings.catch_warnings():
             # An empty table warns.  Older numpy reads "1e3" or "1.0" as an
@@ -302,22 +443,17 @@ def _parse_table(path: str) -> RRSeries | None:
     clock = rows["time"].view((np.uint8, 13))
     if np.any(clock[:, 12]):
         return None
-    digits = clock[:, _CLOCK_DIGITS] - np.uint8(ord("0"))
-    ms = np.zeros(rows.size, dtype=np.int64)
-    for column, place in enumerate(_CLOCK_PLACES):
-        ms += digits[:, column] * place
-    other = np.flatnonzero(
-        np.any(digits > 9, axis=1)
-        | np.any(clock[:, [2, 5, 8]] != np.frombuffer(b"::.", np.uint8), axis=1))
-    # Freed and reused early, so that cohort_med's peak RSS does not flip high.
-    del digits
-    time = np.divide(ms, 1000.0, out=ms.view(np.float64))
+    other = np.flatnonzero(np.any(clock[:, :12] - _CLOCK_TEMPLATE > _SPAN[_CLOCK_TEMPLATE],
+                                  axis=1))
+    ms = np.empty(rows.size, dtype=np.uint32)
+    _horner(clock, _CLOCK_DIGITS, ms, _CLOCK_RADIX)
+    time = ms / 1000.0
     try:
         time[other] = [_parse_clock(cell.decode()) for cell in rows["time"][other]]
     except (ValueError, OverflowError):
         return None
     return RRSeries._from_columns(index, time, interval, annotation,
-                                  np.zeros(rows.size, dtype=bool), header=lines[0])
+                                  np.zeros(rows.size, dtype=bool), header=header)
 
 
 def _parse_rows(path: str) -> RRSeries:
@@ -365,10 +501,11 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
     """Read one annotated RR file, given its path as a str or `os.PathLike`.
 
-    The rows are read as one table with `np.loadtxt` when that provably
-    gives the row parser's result.  Otherwise the text is read again and
-    parsed line by line, and all malformed rows are reported together, each
-    with its line number.
+    The file's bytes are read once.  Rows of fixed-width fields are decoded
+    from them in place, and other plain ASCII rows are read as one table
+    with `np.loadtxt`, each only where that provably gives the row parser's
+    result.  Otherwise the text is parsed line by line, and all malformed
+    rows are reported together, each with its line number.
     """
     path = os.fspath(source)
     series = _parse_table(path)

@@ -68,6 +68,35 @@ def discretize_mono(series: RRSeries) -> BitSequence:
 _BLOCK = 1 << 18
 
 
+def _start_within(starts: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Whether a run starts within the k positions after each of the first size.
+
+    `starts` must reach k positions past the first size.  After t doublings,
+    reach[x] tells whether a start falls in [x + 1, x + 2**t]; the largest
+    2**t not above k gives two reaches that overlap to cover [x + 1, x + k].
+    """
+    if k == 0:
+        return np.zeros(size, dtype=bool)
+    reach, span = starts[1:], 1
+    while 2 * span <= k:
+        reach = reach[:-span] | reach[span:]
+        span *= 2
+    return reach[:size] | reach[k - span:k - span + size]
+
+
+def _heads(starts: np.ndarray, bits: np.ndarray, accel: int, decel: int) -> np.ndarray:
+    """Where the runs of the block `bits` start that last at least their
+    bit's window (accel for 1, decel for 0); `starts` reaches the longer
+    window - 1 positions past the block."""
+    size = bits.size
+    short, long = sorted((accel, decel))
+    near = _start_within(starts, long - 1, size)
+    if short < long:  # a run of the shorter window's bit is checked only that far
+        (np.logical_and if accel > decel else np.greater)(near, bits, out=near)
+        near |= _start_within(starts, short - 1, size)
+    return np.flatnonzero(np.greater(starts[:size], near, out=near))
+
+
 def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     """Delete alternating acceleration/deceleration windows in one forward pass.
 
@@ -85,16 +114,14 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
     longer window - 1 bits after it, read with the bit before and True past
     the end, by clearing each start that another start follows within its
     run's window; a run of the shorter window's bit is checked only that
-    far.  The next block gets the last head's bit and how far the last
-    window reaches past the block's end.  Each block and the longer window - 1
-    bits after it are unpacked from the packed input, and its kept bits are
-    packed into one buffer of n/8 bytes, the fewer than 8 past the last whole
-    byte carried into the next block's; the result is a view of the buffer.
-
-    The head check passes over a block once per position of the longer
-    window, so the cost grows with n times that window.  On 1e6 bits (a
-    2-core Xeon, numpy 2.4) (6,6) takes 5 ms, (1000,1) 0.15 s and (10000,1)
-    1.5 s; the CLI presets have windows of at most 6.
+    far.  Whether a start follows within k bits takes O(log k) shifted ORs
+    (`_start_within`), and the cut windows of each bit are marked in one
+    write, so no step loops over the positions of a window.  The next block
+    gets the last head's bit and how far the last window reaches past the
+    block's end.  Each block and the longer window - 1 bits after it are
+    unpacked from the packed input, and its kept bits are packed into one
+    buffer of n/8 bytes, the fewer than 8 past the last whole byte carried
+    into the next block's; the result is a view of the buffer.
     """
     packed, n = s._packed, len(s)
     accel, decel = min(pattern.accel, n + 1), min(pattern.decel, n + 1)  # no run exceeds n
@@ -109,24 +136,18 @@ def cut_trends(s: BitSequence, pattern: TrendCutPattern) -> BitSequence:
         starts = np.ones(size + long - 1, dtype=bool)
         np.not_equal(ahead[1:], ahead[:-1], out=starts[1:ahead.size])
         starts[0] = b0 == 0 or ahead[0] != s[b0 - 1]
-        heads = starts[:size].copy()
-        for k in range(1, long):
-            stop = starts[k:k + size]
-            if k >= short:  # runs of the shorter window's bit have passed their check
-                stop = stop & bits if accel > decel else stop > bits
-            np.greater(heads, stop, out=heads)
-        pos = np.flatnonzero(heads)
+        pos = _heads(starts, bits, accel, decel)
         head_bits = np.concatenate(([last], bits[pos]))
-        pos = pos[head_bits[1:] != head_bits[:-1]]
+        pos = np.compress(head_bits[1:] != head_bits[:-1], pos)
         keep = starts  # the heads have their positions
         keep[:cover], keep[cover:] = False, True
         ones = int(last)  # the cut heads alternate bits, from the one after `last`
         for first, length in ((pos[ones::2], accel), (pos[1 - ones::2], decel)):
-            for k in range(length):
-                keep[first + k] = False
+            keep[first[:, None] + np.arange(length)] = False  # each window bit once
         last, cover = head_bits[-1], long - 1 - np.count_nonzero(keep[size:])
         # m bits are out; the m % 8 in the last, partial byte are packed again
-        # in front of this block's.
+        # in front of this block's.  A mask, not np.compress, which would hold
+        # an index per kept bit.
         kept = np.concatenate((carry, bits[keep[:size]]))
         out[m >> 3:(m >> 3) + (kept.size + 7) // 8] = np.packbits(kept)
         m += kept.size - carry.size

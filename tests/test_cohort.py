@@ -85,6 +85,10 @@ class TestQuartiles:
                                  method="linear")
         assert np.array(quartiles(values)[:5]).tobytes() == expected.tobytes()
 
+    def test_mean_whose_sum_overflows(self):
+        # Finite values have a finite mean, even where their sum overflows.
+        assert quartiles([1e308, 1e308, 1e308]) == pytest.approx((1e308,) * 6)
+
 
 class TestBucket:
     def test_decade_brackets(self):

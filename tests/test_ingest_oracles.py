@@ -316,6 +316,136 @@ class TestBulkParse:
                    for s in range(100) for ms in range(1000))
 
 
+# -- fixed-width files -------------------------------------------------------
+
+def digits(width: int):
+    """Strings of exactly `width` ASCII digits, leading zeros included."""
+    return st.integers(0, 10**width - 1).map(f"{{:0{width}d}}".format)
+
+
+@st.composite
+def fixed_width_files(draw):
+    """Tab-separated rows whose fields keep one width, as Holter exports write
+    them: one run of rows for each index width, every interval with the same
+    digits before and after its dot, and annotations of one width."""
+    widths = draw(st.lists(st.integers(1, 18), min_size=1, max_size=4, unique=True))
+    whole = draw(st.integers(0, 6))
+    decimals = draw(st.integers(0 if whole else 1, 15 - whole))
+    label = draw(st.integers(1, 15))
+    lines = [draw(st.text(alphabet=string.ascii_letters + " \t", max_size=20))]
+    for width in widths:
+        for _ in range(draw(st.integers(1, 8))):
+            clock = draw(digits(9))
+            interval = draw(digits(whole + decimals).filter(lambda v: int(v) > 0))
+            lines.append("\t".join((
+                draw(digits(width)),
+                f"{clock[:2]}:{clock[2:4]}:{clock[4:6]}.{clock[6:]}",
+                f"{interval[:whole]}.{interval[whole:]}",
+                draw(st.text(alphabet=string.ascii_letters + string.digits
+                             + string.punctuation, min_size=label, max_size=label)))))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@contextlib.contextmanager
+def tiers():
+    """What _parse_fixed returned and whether _load_table ran, call by call."""
+    calls = {"fixed": [], "table": []}
+    fixed, table = ingest._parse_fixed, ingest._load_table
+
+    def spy_fixed(*args):
+        calls["fixed"].append(fixed(*args))
+        return calls["fixed"][-1]
+
+    def spy_table(*args):
+        calls["table"].append(table(*args))
+        return calls["table"][-1]
+
+    with mock.patch.object(ingest, "_parse_fixed", spy_fixed), \
+            mock.patch.object(ingest, "_load_table", spy_table):
+        yield calls
+
+
+def near_miss(line: str, kind: str) -> str:
+    """One row of a fixed-width file changed so that the reader must not take it."""
+    index, clock, interval, annotation = line.split("\t")
+    return {
+        "wider interval": f"{index}\t{clock}\t{interval}0\t{annotation}",
+        "minus sign": f"{index}\t{clock}\t-{interval}\t{annotation}",
+        "plus sign": f"{index}\t{clock}\t+{interval}\t{annotation}",
+        "exponent": f"{index}\t{clock}\t{interval}e0\t{annotation}",
+        ".5": f"{index}\t{clock}\t.5\t{annotation}",
+        "5.": f"{index}\t{clock}\t5.\t{annotation}",
+        # A mantissa past 2**53: dividing its rounded double misses float().
+        "16 digits": f"{index}\t{clock}\t{'9' * 8}.{'9' * 8}\t{annotation}",
+        "blank line": f"\n{line}",
+        "space separator": f"{index} {clock}\t{interval}\t{annotation}",
+        "NUL": f"{index}\t{clock}\t{interval}\t{annotation}\x00",
+        "CR ending": f"{line}\r",
+        "bare CR": f"{index}\t{clock}\r{interval}\t{annotation}",
+    }[kind]
+
+
+NEAR_MISSES = ["wider interval", "minus sign", "plus sign", "exponent", ".5", "5.",
+               "16 digits", "blank line", "space separator", "NUL", "CR ending", "bare CR"]
+
+
+class TestFixedWidth:
+    @SETTINGS
+    @given(text=fixed_width_files(), first_rows=st.sampled_from([1, 2, ingest._FIRST_ROWS]),
+           piece_rows=st.sampled_from([1, 3, ingest._PIECE_ROWS]))
+    def test_equals_row_parser_bit_for_bit(self, text, first_rows, piece_rows):
+        # Small run pieces and check pieces put their edges inside the runs.
+        with tiers() as calls, mock.patch.object(ingest, "_FIRST_ROWS", first_rows), \
+                mock.patch.object(ingest, "_PIECE_ROWS", piece_rows):
+            series = holter_parse(text)
+        expected = row_parse(text)
+        assert calls["fixed"] == [series] and not calls["table"]
+        assert series == expected
+        assert series.annotation.dtype == expected.annotation.dtype
+        for column in ("index", "time", "interval"):
+            assert getattr(series, column).tobytes() == getattr(expected, column).tobytes()
+
+    @SETTINGS
+    @given(text=fixed_width_files(), data=st.data(),
+           kind=st.sampled_from(NEAR_MISSES))
+    def test_near_miss_gives_the_row_parsers_outcome(self, text, data, kind):
+        lines = text.split("\n")
+        k = data.draw(st.integers(1, len(lines) - 1 - (lines[-1] == "")))
+        lines[k] = near_miss(lines[k], kind)
+        got, expected = file_outcomes("\n".join(lines))
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", NEAR_MISSES)
+    def test_near_miss_in_a_one_row_file(self, kind):
+        # Alone, the row is a run of its own: the reader takes exactly the
+        # forms it converts as float() does, and universal newlines.
+        text = "hdr\n" + near_miss("7\t01:02:03.004\t0.800\tN", kind) + "\n"
+        with tiers() as calls:
+            got, expected = file_outcomes(text)
+        assert got == expected
+        taken = kind in ("wider interval", ".5", "5.", "CR ending")
+        assert (calls["fixed"][0] is not None) == taken
+
+    def test_index_widths_beyond_the_reader(self):
+        # 19 digits may exceed int64; the row parser decides.
+        text = "hdr\n" + "9" * 19 + "\t00:00:00.001\t0.8\tN\n"
+        with tiers() as calls:
+            got, expected = file_outcomes(text)
+        assert got == expected
+        assert calls["fixed"] == [None]
+
+    def test_variable_width_file_is_refused_at_its_first_rows(self):
+        # write_holter's shortest repr intervals run to 16 or more digits and
+        # vary in width; the reader gives up at the first row and decodes nothing.
+        series = synthetic_rr(SourceSpec(n=3000, seed=5))
+        text = serialized(series)
+        with tiers() as calls, \
+                mock.patch.object(ingest, "_horner", wraps=ingest._horner) as horner:
+            assert holter_parse(text) == series
+        assert calls["fixed"] == [None] and calls["table"] == [series]
+        assert horner.call_count == 1  # the table's clocks
+
+
 # -- writing -----------------------------------------------------------------
 
 records = st.builds(

@@ -337,3 +337,25 @@ class TestCutTrendsBlocks:
             s = BitSequence.from_array(arr)
             p = TrendCutPattern(*pattern)
             assert cut_trends(s, p) == one_mask_cut(s, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 500)), max_size=30),
+           accel=st.integers(1, 400), decel=st.integers(1, 400),
+           block=st.one_of(st.integers(0, 18).map(lambda e: 1 << e), st.integers(1, 1 << 18)))
+    def test_long_windows(self, runs, accel, decel, block):
+        # Windows of up to 400 bits against runs of up to 500, at block sizes
+        # from one bit to the default: the shifted ORs of the head check and
+        # the one write per bit's windows cover every window length.
+        with mock.patch.object(transform, "_BLOCK", block):
+            check_accounting(runs, accel, decel)
+
+
+def test_long_window_cost_does_not_grow_with_the_window():
+    # The head check takes O(log window) passes over a block: (10000, 1) on
+    # 2**20 coin bits takes a few ms; a pass per window position took over 1 s.
+    s = BitSequence.from_array(np.random.default_rng(3).integers(0, 2, 1 << 20) == 1)
+    for pattern in [TrendCutPattern(10_000, 1), TrendCutPattern(1, 10_000)]:
+        start = time.perf_counter()
+        out = cut_trends(s, pattern)
+        assert time.perf_counter() - start < 0.5
+        assert str(out) == reference_cut(str(s), pattern.accel, pattern.decel)[0]
