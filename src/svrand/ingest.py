@@ -51,18 +51,17 @@ _SECONDS_PER_DAY = 86400.0
 _MS_PER_DAY = 86_400_000
 _DEFAULT_HEADER = "index\ttime\tinterval\tannotation"
 
-# Files are written in pieces of this many rows, which bounds the
-# temporaries of the column-wise formatting: per piece, the (rows, 9) int64
-# clock digits, the clock and row strings and the joined text for one write,
-# about 0.6 MiB above the series at 2048 rows, whatever the file's length.
+# Files are written in pieces of this many rows.  Per piece the write holds
+# one field-major byte matrix and its keep mask, 42 bytes a row each for
+# `synthetic_rr`, and the compacted rows, or before them the interval
+# arithmetic's float64 and int64 columns: about 0.4 MiB above the series at
+# 2048 rows, whatever the file's length.
 _CHUNK_ROWS = 1 << 11
 
-# The fixed clock layout HH:MM:SS.mmm: where its digits sit, what each digit
-# is worth in milliseconds, and the radix it is written in.
+# The fixed clock layout HH:MM:SS.mmm: where its digits sit, and the radix
+# of each.
 _CLOCK_TEMPLATE = np.frombuffer(b"00:00:00.000", dtype=np.uint8)
 _CLOCK_DIGITS = np.array([0, 1, 3, 4, 6, 7, 9, 10, 11])
-_CLOCK_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1000,
-                          100, 10, 1])
 _CLOCK_RADIX = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
 
 # The fixed-width reader's widest fields.  An index of at most 18 digits is
@@ -229,16 +228,6 @@ def _parse_clock(text: str) -> float:
     else:
         ms = round(float(text) * 1000)
     return ms / 1000.0
-
-
-def _format_clocks(time: np.ndarray) -> list[str]:
-    """HH:MM:SS.mmm of each time, rounded to the millisecond and wrapped at midnight."""
-    # Remainder of an integral float is exact, so this equals the integer
-    # round(t * 1000) % _MS_PER_DAY for every finite t.
-    ms = np.mod(np.rint(time * 1000), _MS_PER_DAY).astype(np.int64)
-    cells = np.tile(_CLOCK_TEMPLATE.astype(np.uint32), (ms.size, 1))
-    cells[:, _CLOCK_DIGITS] += (ms[:, None] // _CLOCK_PLACES % _CLOCK_RADIX).astype(np.uint32)
-    return cells.view("U12")[:, 0].tolist()
 
 
 def _parse_row(line: str) -> RRRecord:
@@ -520,20 +509,27 @@ def write_holter(series: RRSeries, dest) -> None:
     """Serialize a series to the text format, at the path `dest`.
 
     The header is passed through verbatim; columns are tab separated; the
-    interval keeps its shortest exact decimal form, the time is written with
-    millisecond precision.  The rows are formatted and written in pieces of
-    2048, so one piece's digits and strings are all the memory the write
-    takes beyond the series.
+    interval keeps its shortest exact decimal form, repr's, and the time is
+    written with millisecond precision.  Rows are laid out column-wise,
+    2048 at a time, in one byte matrix per piece, and written with one call
+    each (`svrand.rowtext.holter_rows`).  repr's digits are computed for a
+    whole column and certified exactly; the few values that cannot be, such
+    as powers of two, values below 1e-4 or from 2**53 up, are written by
+    repr one at a time.  One piece's matrix, mask and arithmetic, about
+    0.4 MiB, is all the memory the write takes beyond the series.
     """
-    with open(os.fspath(dest), "w", encoding="utf-8") as fh:
-        fh.write(series.header + "\n")
+    # Imported here, so that only a process that writes compiles the layout.
+    from svrand.rowtext import holter_rows
+
+    with open(os.fspath(dest), "wb") as fh:
+        fh.write(series.header.encode("utf-8") + b"\n")
         for lo in range(0, len(series), _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            fh.write("".join(
-                f"{i}\t{clock}\t{interval!r}\t{annotation}\n"
-                for i, clock, interval, annotation in zip(
-                    series.index[rows].tolist(), _format_clocks(series.time[rows]),
-                    series.interval[rows].tolist(), series.annotation[rows].tolist())))
+            # Milliseconds of the day: the remainder of an integral float is
+            # exact, so this is the integer round(t * 1000) % _MS_PER_DAY.
+            ms = np.mod(np.rint(series.time[rows] * 1000), _MS_PER_DAY).astype(np.int64)
+            fh.write(holter_rows(series.index[rows], ms, series.interval[rows],
+                                 series.annotation[rows]))
 
 
 def filter_normal(series: RRSeries) -> RRSeries:

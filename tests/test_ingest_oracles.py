@@ -24,6 +24,7 @@ from svrand import ingest
 from svrand.ingest import (NORMAL_ANNOTATION, HolterFormatError, RRRecord, RRSeries,
                            edit_perturbations, extract_nocturnal, parse_holter,
                            write_holter)
+from svrand.rowtext import shortest_repr
 from svrand.synth import SourceSpec, synthetic_rr
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -446,6 +447,80 @@ class TestFixedWidth:
         assert horner.call_count == 1  # the table's clocks
 
 
+# -- shortest repr digits ----------------------------------------------------
+
+def spelled(values):
+    """repr of each value that `shortest_repr` certifies, spelled from its
+    digits and scale by slicing strings, and the mask of the certified values."""
+    digits, scale, certified = shortest_repr(np.asarray(values, dtype=np.float64))
+    texts = []
+    for d, s in zip(digits[certified].tolist(), scale[certified].tolist()):
+        text = str(d).rjust(s + 1, "0")
+        texts.append(f"{text[:-s]}.{text[-s:].rstrip('0') or '0'}")
+    return texts, certified
+
+
+def assert_repr(values):
+    """Every certified value spells as repr; returns the certified mask."""
+    values = np.asarray(values, dtype=np.float64)
+    texts, certified = spelled(values)
+    assert texts == list(map(repr, values[certified].tolist()))
+    return certified
+
+
+def power_of_two(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64) << 12 == 0
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, 0), values, np.nextafter(values, np.inf)])
+
+
+class TestShortest:
+    def test_random_bit_patterns(self):
+        # 2**16 patterns of any positive finite double, and 10**6 whose
+        # exponent puts them in or near [1e-4, 2**53), the certified range.
+        rng = np.random.default_rng(2024)
+        anywhere = rng.integers(1, 0x7FF0_0000_0000_0000, 1 << 16, dtype=np.int64)
+        mantissa = rng.integers(0, 1 << 52, 10**6, dtype=np.int64)
+        exponent = rng.integers(1023 - 15, 1023 + 54, 10**6, dtype=np.int64)
+        near = mantissa | exponent << 52
+        certified = assert_repr(np.concatenate([anywhere, near]).view(np.float64))
+        assert certified[anywhere.size:].mean() > 0.9
+
+    def test_boundaries(self):
+        subnormal = np.ldexp(np.arange(1.0, 1000.0), -1074)
+        integers = np.concatenate([np.arange(1.0, 10**5), 2.0**52 + np.arange(-1000, 1000),
+                                   2.0**53 - np.arange(1, 1000)])
+        values = np.concatenate([
+            neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+            neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+            neighbours([1e-4, 2.0**53, 1e300, 2.2250738585072014e-308]),
+            neighbours(10.0 ** np.arange(16)[:, None] + np.arange(-50, 50)).ravel(),
+            subnormal, integers,
+            # Ties between two nearest integers: quarters in [2**50, 2**51).
+            2.0**50 + np.arange(4000) / 4])
+        certified = assert_repr(values)
+        assert not certified[power_of_two(values)].any()
+
+    @SETTINGS
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 2.0**53)), min_size=1))
+    def test_any_floats(self, values):
+        assert_repr(values)
+
+    def test_recordings_take_the_certified_path(self):
+        # Every synthetic interval, and every millisecond and microsecond
+        # interval from 1e-4 s up, is certified but for the powers of two,
+        # which the interval rule leaves to repr: the fast path carries them.
+        for seed in (1, 2, 3):
+            assert assert_repr(synthetic_rr(SourceSpec(n=10**5, seed=seed)).interval).all()
+        for grid in (np.arange(1, 10**6) / 1000, np.arange(100, 10**6) / 10**6):
+            certified = assert_repr(grid)
+            assert np.array_equal(certified, ~power_of_two(grid))
+            assert (~certified).sum() < 20
+
+
 # -- writing -----------------------------------------------------------------
 
 records = st.builds(
@@ -480,9 +555,8 @@ class TestWrite:
 
     @pytest.mark.parametrize("n", [1 << 15, 1 << 17])
     def test_peak_memory_is_one_piece(self, tmp_path, n):
-        # Above the series, the write holds one piece's clock digits and
-        # strings, about 0.6 MiB at 2048 rows whatever n is.  16384-row
-        # pieces held 4.4 MiB.
+        # Above the series, the write holds one piece's byte matrix, mask
+        # and interval arithmetic, about 0.4 MiB at 2048 rows whatever n is.
         series = synthetic_rr(SourceSpec(n=n, seed=1))
         tracemalloc.start()
         try:
@@ -491,6 +565,33 @@ class TestWrite:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_synthetic_recording_equals_record_writer(self, seed):
+        series = synthetic_rr(SourceSpec(n=10**5, seed=seed))
+        assert serialized(series) == record_write(series)
+
+    def test_extreme_fields_equal_record_writer(self):
+        # Indices to both ends of int64, annotations of 1-15 characters with
+        # one non-ASCII, and intervals that repr writes itself: subnormal,
+        # huge, powers of two, below 1e-4 and from 2**53 up.
+        rng = np.random.default_rng(9)
+        n = 3 * ingest._CHUNK_ROWS + 100
+        index = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+        index[:6] = [-2**63, 2**63 - 1, 0, -1, -10, 10**18]
+        interval = rng.uniform(0.3, 1.9, n)
+        odd = rng.random(n) < 0.3
+        interval[odd] = rng.choice(
+            np.concatenate([np.ldexp(1.0, np.arange(-1074, -1064)), [2.2250738585072014e-308,
+                            1e300, 0.5, 1.0, 2.0**53, 2.0**60 + 2**8, 9.99e-5, 1e-4,
+                            1234.5, 0.001]]), odd.sum())
+        lengths = rng.integers(1, 16, n)
+        annotation = ["".join(rng.choice(list(string.ascii_letters), k)) for k in lengths]
+        annotation[n // 2] = "\u00c4" * 15
+        time = rng.integers(0, 86_400_000, n) / 1000
+        series = RRSeries(map(RRRecord, index.tolist(), time.tolist(), interval.tolist(),
+                              annotation), header="index time interval annotation")
+        assert serialized(series) == record_write(series)
 
 
 # -- pre-processing ----------------------------------------------------------
