@@ -18,16 +18,20 @@ __all__ = [
     "DEBRUIJN_BUDGET_BITS",
 ]
 
-# count_substrings_fast stores 2^L uint16 or uint32 counts, but a length L is refused
-# where the eager reference table's 2^(L+1) integers would not fit comfortably in memory.
+# count_substrings_fast stores 2^(L+1) pair counts of at most 4 bytes, but a length L is
+# refused where the eager reference table's 2^(L+1) integers would not fit comfortably
+# in memory.
 MAX_TABLE_ENTRIES = 1 << 27
 
 # Ceiling on generated De Bruijn sequence length (in bits).
 DEBRUIJN_BUDGET_BITS = 1 << 26
 
-# Window positions count_substrings_fast counts at a time: a block's uint32
-# values and their temporaries take a few hundred KiB whatever n is.
+# Window positions count_substrings_fast reads at a time: a block's uint32
+# pair values and their temporaries take a few hundred KiB whatever n is.
 _BLOCK = 1 << 16
+
+# Pair tables of this many entries or more start as uint8, below as uint16.
+_NARROW = 1 << 20
 
 _VALID_BITS = frozenset("01")
 
@@ -119,20 +123,30 @@ class CountTable:
     are stored per length as a dense array indexed by the pattern value
     (first bit most significant), so "0" and "00" are distinct keys.
 
-    `levels` holds the longest len(levels) lengths (count_substrings_fast
-    keeps only max_len, as uint16 or uint32); `level` derives each shorter
-    one with `halve`, as a read-only array the table does not keep.  `last`
-    is the value of a linear sequence's last min(max_len, n) bits; cyclic
-    tables do not read it.
+    `levels` holds the longest len(levels) lengths, as count_substrings
+    passes them.  count_substrings_fast passes `pairs` instead, and no
+    level: the counts E of the (max_len + 1)-bit windows at even offsets,
+    each the two max_len-bit windows at its offset and one bit later.
+    `top` derives max_len's counts from E, a range of values at a time,
+    and `level` each shorter length with `halve`; both return read-only
+    arrays the table does not keep.  `last` is the value of the last
+    max_len-bit window: a linear sequence's last min(max_len, n) bits, or
+    in cyclic mode the window at n - 1.  halve reads it in linear mode; in
+    either mode, `top` adds it where an odd number of windows leaves it
+    out of every pair.
     """
 
-    __slots__ = ("max_len", "mode", "source_len", "_levels", "_last")
+    __slots__ = ("max_len", "mode", "source_len", "_levels", "_pairs", "_last")
 
     def __init__(self, max_len: int, mode: str, source_len: int,
-                 levels: list[np.ndarray], last: int):
+                 levels: list[np.ndarray], last: int, pairs: np.ndarray | None = None):
         if mode not in COUNTINGS:
             raise ValueError(f"mode must be one of {', '.join(COUNTINGS)}, got {mode!r}")
-        if not 1 <= len(levels) <= max_len:
+        if pairs is not None:
+            if levels or pairs.shape != (2 << max_len,):
+                raise ValueError(f"a pair table has {2 << max_len} entries and no level beside it")
+            pairs.flags.writeable = False
+        elif not 1 <= len(levels) <= max_len:
             raise ValueError("one counts array per stored pattern length expected")
         for h, lvl in enumerate(levels, start=max_len - len(levels) + 1):
             if lvl.shape != (1 << h,):
@@ -142,7 +156,30 @@ class CountTable:
         self.mode = mode
         self.source_len = source_len
         self._levels = levels
+        self._pairs = pairs
         self._last = last
+
+    def top(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Counts of the max_len-bit patterns of values start..stop - 1, read-only.
+
+        A stored level is sliced.  From the pair table E, pattern v begins
+        the pairs 2v and 2v + 1 and ends the pairs v and 2**max_len + v; the
+        window no pair covers adds one more.  The sums are uint16 over a
+        uint8 E, else uint32.
+        """
+        if self._pairs is None:
+            return self._levels[-1][start:stop]
+        pairs, half = self._pairs, 1 << self.max_len
+        start, stop, _ = slice(start, stop).indices(half)
+        counts = np.add(pairs[2 * start:2 * stop:2], pairs[2 * start + 1:2 * stop:2],
+                        dtype=np.uint16 if pairs.dtype == np.uint8 else np.uint32)
+        counts += pairs[start:stop]
+        counts += pairs[half + start:half + stop]
+        windows = self.source_len - (self.max_len - 1 if self.mode == "linear" else 0)
+        if windows > 0 and windows % 2 and start <= self._last < stop:
+            counts[self._last - start] += 1
+        counts.flags.writeable = False
+        return counts
 
     def halve(self, upper: np.ndarray, length: int, start: int = 0) -> np.ndarray:
         """Counts of `length`-bit patterns from a run of the (length + 1)-bit ones.
@@ -162,7 +199,7 @@ class CountTable:
     def _down(self) -> Iterator[tuple[int, np.ndarray]]:
         """(length, counts) from max_len down to 1, halving below the stored levels."""
         length = self.max_len
-        for counts in reversed(self._levels):
+        for counts in reversed(self._levels or [self.top()]):
             yield length, counts
             length -= 1
         for length in range(length, 0, -1):
@@ -230,23 +267,60 @@ def count_substrings(s: BitSequence, max_len: int, mode: str = "linear") -> Coun
     return CountTable(max_len, mode, n, levels, int(text[n - min(max_len, n):] or "0", 2))
 
 
+def _tally(words: tuple[np.ndarray, ...], pairs: int, width: int, dtype) -> np.ndarray:
+    """Count the first `pairs` width-bit windows at even offsets into 2**width entries.
+
+    Pair k starts at bit 2 * (k % 4) of the word at byte k // 4.  After 1,
+    2, 4, ... blocks a uint8 or uint16 table whose largest count, scaled by
+    the pairs added by the next such check, would pass three quarters of
+    its dtype's range is widened to the next dtype.
+    """
+    table = np.zeros(1 << width, dtype=dtype)
+    step = max(1, _BLOCK // 8)
+    vals = np.empty(4 * step, dtype=np.uint32)
+    first = added = 0  # the index of the block's first word; the pairs added so far
+    blocks = (w[lo:lo + step] for w in words for lo in range(0, w.size, step))
+    for done, block in enumerate(blocks, start=1):
+        block, filled = block.astype(np.uint64), 0
+        for q in range(4):
+            # Pair 4j + q has a window in the words before (pairs - q + 3) // 4.
+            part = block[:(pairs - q + 3) // 4 - first]
+            np.right_shift(part, np.uint64(64 - width - 2 * q), casting="unsafe",
+                           out=vals[filled:filled + part.size])
+            filled += part.size
+        np.bitwise_and(vals[:filled], np.uint32((1 << width) - 1), out=vals[:filled])
+        # A Python 1 would leave np.add.at's fast path.
+        np.add.at(table, vals[:filled], table.dtype.type(1))
+        first += block.size
+        added += filled
+        if done & (done - 1) == 0 and 0 < added < pairs and table.dtype != np.uint32:
+            most = int(table.max()) * min(2 * added, pairs)
+            if 4 * most > 3 * np.iinfo(table.dtype).max * added:
+                table = table.astype(np.uint16 if table.dtype == np.uint8 else np.uint32)
+    return table
+
+
 def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") -> CountTable:
     """Production counter; output equals count_substrings(s, max_len, mode).
 
-    The table stores only length max_len, 2**max_len uint16 counts (uint32
-    where the windows number 2**(max_len + 8) or more, a mean count of 256),
-    and derives the shorter lengths on access.  Each window adds one, so a
-    uint16 count that wraps leaves the sum short of the window count; the
-    windows are then counted again into uint32.  No count exceeds n, so n
-    must be below 2**32.  The length-L windows (L = max_len, or n when a
-    linear sequence is shorter) are read from big-endian 64-bit words: the
-    word at byte j holds the eight windows that start at bits 8j..8j+7, each
-    one shift and mask away.  Words are read in place from the stored bytes,
-    _BLOCK // 8 at a time, but for the last few: those come from a short
-    tail with 8 zero bytes after it, which in cyclic mode also appends the
-    first L - 1 bits (so it needs L <= n).  np.add.at adds each block into
-    the stored level, which stays zero if a linear sequence is shorter than
-    max_len; the last window gives the table's `last`.
+    It counts the (L + 1)-bit windows that start at even offsets
+    (L = max_len), each holding the L-bit windows at its offset and one bit
+    later, so it adds half as many windows as there are L-bit ones; where
+    those number an odd count, the last is left to the table's `last`.  The
+    table keeps these pair counts, 2**(L + 1) entries, and derives every
+    length from them on access.  They are uint8 from _NARROW entries up,
+    where the table's bytes set the peak, and uint16 below; uint32 from the
+    start where the pairs number 2**(L + 9) or more, a mean count of 256.
+    A narrow table is widened as its counts grow (see _tally).  Each pair
+    adds one, so a count that wraps all the same leaves the sum short of
+    the pair count; the pairs are then counted again into uint32.  No count
+    exceeds n, so n must be below 2**32.  The windows are read from
+    big-endian 64-bit words: the word at byte j holds the pairs that start
+    at bits 8j, 8j + 2, 8j + 4 and 8j + 6, each one shift and mask away.
+    Words are read in place from the stored bytes, _BLOCK // 8 at a time,
+    but for the last few: those come from a short tail with 8 zero bytes
+    after it, which in cyclic mode also appends the first L - 1 bits (so it
+    needs L <= n).  A linear sequence shorter than max_len adds nothing.
     """
     _check_count_args(max_len, mode)
     n = len(s)
@@ -257,7 +331,7 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
             f"cyclic counting needs pattern length L <= n, got L={max_len} for n={n}")
     top = min(max_len, n)
     # Words from byte `head` on may reach past the whole stored bytes.
-    # _check_count_args keeps L <= 26, so a window never leaves its word,
+    # _check_count_args keeps L <= 26, so a pair never leaves its word,
     # its value fits in uint32 and the first L - 1 bits lie in 4 bytes.
     head = max((n >> 3) - 7, 0)
     rest = np.unpackbits(s._packed[head:], count=n - 8 * head)
@@ -267,32 +341,17 @@ def count_substrings_fast(s: BitSequence, max_len: int, mode: str = "linear") ->
     rest = np.concatenate([np.packbits(rest), np.zeros(8, dtype=np.uint8)])
     words = (np.ndarray(head, dtype=">u8", buffer=s._packed, strides=(1,)),
              np.ndarray((windows + 7) // 8 - head, dtype=">u8", buffer=rest, strides=(1,)))
-    mask = (1 << top) - 1
-    step = max(1, _BLOCK // 8)
-    vals = np.empty(8 * step, dtype=np.uint32)
-    for dtype in (np.uint16, np.uint32)[windows >= 1 << (max_len + 8):]:
-        counts = np.zeros(1 << max_len, dtype=dtype)
-        if top < max_len:
-            break  # a linear sequence shorter than max_len has no window to add
-        first = 0  # the index of the block's first word
-        for block in (w[lo:lo + step] for w in words for lo in range(0, w.size, step)):
-            block, filled = block.astype(np.uint64), 0
-            for r in range(8):
-                # Offset r has a window in the words before (windows - r + 7) // 8.
-                part = block[:(windows - r + 7) // 8 - first]
-                np.right_shift(part, np.uint64(64 - top - r), casting="unsafe",
-                               out=vals[filled:filled + part.size])
-                filled += part.size
-            np.bitwise_and(vals[:filled], np.uint32(mask), out=vals[:filled])
-            # A Python 1 would leave np.add.at's fast path.
-            np.add.at(counts, vals[:filled], dtype(1))
-            first += block.size
-        if counts.sum(dtype=np.uint64) == windows:
-            break
-        del counts  # a wrapped uint16 count: freed before the uint32 table is made
+    pairs = windows // 2 if top == max_len else 0
+    entries = 2 << max_len
+    dtype = np.uint32 if pairs >= entries << 8 else np.uint8 if entries >= _NARROW else np.uint16
+    table = _tally(words, pairs, max_len + 1, dtype)
+    # A wrapped count is stored smaller, so the sum, below 2**31, cannot wrap.
+    if table.sum(dtype=np.uint32) != pairs:
+        del table  # freed before the uint32 table is made
+        table = _tally(words, pairs, max_len + 1, np.uint32)
     j, r = divmod(windows - 1, 8)
-    last = int(words[1][j - head]) >> (64 - top - r) & mask
-    return CountTable(max_len, mode, n, [counts], last)
+    last = int(words[1][j - head]) >> (64 - top - r) & ((1 << top) - 1)
+    return CountTable(max_len, mode, n, [], last, pairs=table)
 
 
 def debruijn(order: int) -> BitSequence:

@@ -100,22 +100,25 @@ def _walk_down(counts: CountTable) -> list[float]:
     Each pass cuts a level into pieces of 2 * _CHUNK counts and halves each
     piece _PASS times, taking each level's ratios while the piece is in
     cache; the halved pieces make the next pass's level, 2**_PASS times
-    smaller, as uint32 whatever the top level's dtype.  The top level is
-    only read.  No deviation exceeds 1/2, so once a level has reached 1/2
-    its later pieces are only halved.  Every ratio sees the same float
-    operations whatever the piece, and the maximum is exact, so the result
-    depends on neither _CHUNK, _PASS nor the top level's dtype.
+    smaller, as uint32 whatever the top level's dtype.  The first pass
+    reads each piece of the top level from CountTable.top, so the table's
+    pair counts are only read and the whole top level is never held.  No
+    deviation exceeds 1/2, so once a level has reached 1/2 its later
+    pieces are only halved.  Every ratio sees the same float operations
+    whatever the piece, and the maximum is exact, so the result depends on
+    neither _CHUNK, _PASS nor the top level's dtype.
     """
     length = counts.max_len
-    upper = counts.level(length)
+    upper = None  # below the first pass, the level the pass before made
     worst = [0.0] * length
     with np.errstate(invalid="ignore"):
         while length:
             steps = min(_PASS, length)
-            coarse = np.empty(upper.size >> steps, dtype=np.uint32)
-            size = min(2 * _CHUNK, upper.size)
-            for start in range(0, upper.size, size):
-                pairs = upper[start:start + size]
+            coarse = np.empty(1 << (length - steps), dtype=np.uint32)
+            size = min(2 * _CHUNK, 1 << length)
+            for start in range(0, 1 << length, size):
+                pairs = (counts.top(start, start + size) if upper is None
+                         else upper[start:start + size])
                 for h in range(length - 1, length - 1 - steps, -1):
                     # Halving level 1 gives n in both modes: the h = 0 denominator.
                     den = counts.halve(pairs, h, start >> (length - h))
@@ -134,17 +137,20 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
     H defaults to max_history(len(s)).  Larger requests are clamped back to
     that bound with a warning unless force_h is set, in which case the
     override is recorded on the profile.  _walk_down estimates from the
-    table's top level, the only one held.
+    table's top level, derived a piece at a time from its pair counts, the
+    only counts held.
 
     A history that occurs exactly once has deviation 1/2.  So does its
     one-bit extension, which also occurs once; at the end of a linear
     sequence its one-bit predecessor does instead.  From the shortest length
     with such a history up to the top, every estimate is therefore exactly
     1/2.  The count starts two lengths below the top: if a history of that
-    length occurs once, the walk starts there, the two longest lengths read
-    1/2 and 2**(H - 1) counts are held.  Otherwise the top level is counted
-    as well, 2**(H + 1) counts.  At the default H their mean is below 8, so
-    count_substrings_fast stores both as uint16.
+    length occurs once, found a piece of CountTable.top at a time, the walk
+    starts there, the two longest lengths read 1/2 and the table holds
+    2**H pair counts.  Otherwise the top level is counted as well, 2**(H + 2)
+    pair counts.  At the default H their mean is below 2, so a table of
+    2**20 entries or more is stored as uint8 unless its counts grow past
+    what that holds (see count_substrings_fast), and a smaller one as uint16.
     """
     n = len(s)
     bound = max_history(n)
@@ -170,10 +176,9 @@ def epsilon_profile(s: BitSequence, max_h: int | None = None, mode: str = "linea
         # to 1/2.  A top past n is left to the top count, which refuses it in
         # cyclic mode.
         table = count_substrings_fast(s, top - 2, mode)
-        level = table.level(top - 2)
-        if any((level[i:i + _CHUNK] == 1).any() for i in range(0, level.size, _CHUNK)):
+        if any((table.top(i, i + _CHUNK) == 1).any() for i in range(0, 1 << (top - 2), _CHUNK)):
             walked = [*_walk_down(table), 0.5, 0.5]
-        del table, level  # not held while the top is counted
+        del table  # not held while the top is counted
     if walked is None:
         walked = _walk_down(count_substrings_fast(s, top, mode))
     eps = (*walked, *(None,) * (use_h + 1 - top))

@@ -516,11 +516,20 @@ def write_holter(series: RRSeries, dest) -> None:
     whole column and certified exactly; the few values that cannot be, such
     as powers of two, values below 1e-4 or from 2**53 up, are written by
     repr one at a time.  One piece's matrix, mask and arithmetic, about
-    0.4 MiB, is all the memory the write takes beyond the series.
+    0.4 MiB, is all the memory the write takes beyond the series.  A time
+    whose milliseconds overflow a float raises OverflowError, naming its
+    row, before the file is opened.
     """
     # Imported here, so that only a process that writes compiles the layout.
     from svrand.rowtext import holter_rows
 
+    # A time whose milliseconds overflow to inf has no clock, and round() of
+    # it raises OverflowError: raised here before any byte is written.
+    if len(series) and math.isinf(float(max(series.time.max(), -series.time.min())) * 1000):
+        with np.errstate(over="ignore"):
+            row = int(np.flatnonzero(np.isinf(series.time * 1000))[0])
+        raise OverflowError(f"row {row}: time {float(series.time[row])!r} s "
+                            f"has no millisecond clock")
     with open(os.fspath(dest), "wb") as fh:
         fh.write(series.header.encode("utf-8") + b"\n")
         for lo in range(0, len(series), _CHUNK_ROWS):

@@ -1,6 +1,10 @@
+import importlib.util
 import random
+import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svrand import bitseq
+from svrand import bitseq, cli, estimator
 from svrand.bitseq import BitSequence, count_substrings, count_substrings_fast, debruijn
 from svrand.cohort import merge_persons
+from svrand.synth import biased_coin
 
 
 def random_bits(rng, n):
@@ -40,6 +45,27 @@ def recursive_debruijn(order):
 def is_debruijn(text, order):
     wrapped = text + text[:order - 1]
     return len({wrapped[i:i + order] for i in range(len(text))}) == len(text) == 1 << order
+
+
+def pair_counts(text, max_len, mode):
+    """Counts of the (max_len + 1)-bit windows at even offsets, each two max_len-bit windows."""
+    windows = len(text) if mode == "cyclic" else len(text) - max_len + 1
+    ext = text + text[:max_len] if mode == "cyclic" else text
+    counts = np.zeros(2 << max_len, dtype=np.int64)
+    tally = Counter(ext[i:i + max_len + 1] for i in range(0, 2 * (max(windows, 0) // 2), 2))
+    for pattern, count in tally.items():
+        counts[int(pattern, 2)] = count
+    return counts
+
+
+def bench_inputs():
+    """The benchmark's input generators, bench/inputs.py, which import nothing of svrand."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
 
 
 class TestBitSequence:
@@ -273,31 +299,37 @@ class TestCountSubstringsFast:
     @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
     @pytest.mark.parametrize("seen, dtype", [(65535, np.uint16), (65536, np.uint32)])
     def test_uint16_level_and_its_wrap(self, mode, seen, dtype):
-        # A run of zeros between two 1s holds the all-zero 9-bit pattern `seen`
-        # times; the random bits after it have a 1 at every other position.
-        # The windows number fewer than 2**(9 + 8), so the level is counted as
-        # uint16; at 65536 that count wraps to 0, the sum check fails and the
-        # level is counted again as uint32.
+        # A run of zeros starting at an even offset holds the all-zero 10-bit
+        # window `seen` times at even offsets; the bits around it have a 1 at
+        # every even offset.  The pair table has 2**10 entries, so it is
+        # counted as uint16.  The run starts in the fifth block, after the
+        # last check of the largest count, so no check widens the table; at
+        # 65536 that count wraps to 0, the sum check fails and the pairs are
+        # counted again as uint32.
         rng = np.random.default_rng(seen)
-        text = "1" + "0" * (seen + 8) + "".join(f"1{b}" for b in rng.integers(0, 2, 150))
+        prefix = (bitseq._BLOCK // 8) * 4 * 4  # the pairs of four blocks
+        text = ("".join(f"1{b}" for b in rng.integers(0, 2, prefix)) + "0" * (2 * seen + 8)
+                + "".join(f"1{b}" for b in rng.integers(0, 2, 150)))
         s = BitSequence(text)
-        table = count_substrings_fast(s, 9, mode)
-        assert len(text) < 1 << 17
-        assert table.level(9).dtype == dtype
-        assert table.count("0" * 9) == seen
+        with mock.patch.object(bitseq, "_tally", wraps=bitseq._tally) as tally:
+            table = count_substrings_fast(s, 9, mode)
+        assert len(text) // 2 < 8 * prefix // 4  # the pairs end before an eighth block
+        assert table._pairs.dtype == dtype
+        assert tally.call_count == (1 if dtype == np.uint16 else 2)
+        assert table._pairs[0] == seen
         assert table == count_substrings(s, 9, mode)
 
     @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
     @pytest.mark.parametrize("extra, dtype", [(-1, np.uint16), (0, np.uint32)])
     def test_uint32_from_the_start_at_mean_count_256(self, mode, extra, dtype):
-        # 2**(L + 8) windows or more, a mean count of 256, are counted as
+        # 2**(L + 9) pairs or more, a mean pair count of 256, are counted as
         # uint32 at once; one fewer is counted as uint16.
         length = 3
-        windows = (1 << (length + 8)) + extra
-        n = windows + (length - 1 if mode == "linear" else 0)
+        pairs = (1 << (length + 9)) + extra
+        n = 2 * pairs + (length - 1 if mode == "linear" else 0)
         s = BitSequence.from_array(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
         table = count_substrings_fast(s, length, mode)
-        assert table.level(length).dtype == dtype
+        assert table._pairs.dtype == dtype
         assert table == count_substrings(s, length, mode)
 
     @settings(max_examples=40, deadline=None)
@@ -308,12 +340,13 @@ class TestCountSubstringsFast:
                                                    st.integers(65533, 65538))))
     def test_skewed_inputs(self, block, mode, max_len, first, runs, long_run):
         # Alternating runs of one bit pile the counts onto few patterns.  A
-        # long run holds its all-equal pattern 65533..65538 times, around the
-        # uint16 limit.  The level is uint32 exactly where the windows number
-        # 2**(L + 8) or more, or a count passes 65535.
+        # long run holds its all-equal pair 65533..65538 times, around the
+        # uint16 limit.  The table is uint32 where the pairs number 2**(L + 9)
+        # or more, or a pair count passes 65535; it stays uint16 where no
+        # pair count passes 3/8 of 65535, which no check projects past 3/4.
         if long_run is not None:
             at, seen = long_run
-            runs.insert(at, seen + max_len - 1)
+            runs.insert(at, 2 * seen + max_len)
         text = "".join(str((int(first) + i) % 2) * run for i, run in enumerate(runs))
         assume(mode == "linear" or max_len <= len(text))
         s = BitSequence(text)
@@ -321,14 +354,79 @@ class TestCountSubstringsFast:
             table = count_substrings_fast(s, max_len, mode)
         reference = count_substrings(s, max_len, mode)
         assert table == reference
-        top = reference.level(max_len)
-        wide = top.sum() >= 1 << (max_len + 8) or top.max() > 65535
-        assert table.level(max_len).dtype == (np.uint32 if wide else np.uint16)
+        expected = pair_counts(text, max_len, mode)
+        assert np.array_equal(table._pairs, expected)
+        if expected.sum() >= 1 << (max_len + 9) or expected.max() > 65535:
+            assert table._pairs.dtype == np.uint32
+        elif 8 * expected.max() <= 3 * 65535:
+            assert table._pairs.dtype == np.uint16
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(["linear odd", "linear even", "cyclic odd", "cyclic even",
+                                 "cyclic L = n", "linear L > n"]),
+           block=st.sampled_from([1, 7, 16, 64]), narrow=st.sampled_from([1, bitseq._NARROW]),
+           first=st.sampled_from("01"), runs=st.lists(st.integers(1, 600), min_size=1,
+                                                      max_size=12), data=st.data())
+    def test_pair_table_equals_reference(self, case, block, narrow, first, runs, data):
+        # Long runs pile up to about 300 pairs onto one entry, past the uint8
+        # limit; with _NARROW at 1 every table starts as uint8.  Each case
+        # sets the parity of the max_len-bit windows: an odd count leaves the
+        # last one to `last`.
+        text = "".join(str((int(first) + i) % 2) * run for i, run in enumerate(runs))
+        mode = case.split()[0]
+        if case == "cyclic L = n":
+            text = text[:data.draw(st.integers(1, 12))]
+            max_len = len(text)
+        elif case == "linear L > n":
+            text = text[:data.draw(st.integers(0, 11))]
+            max_len = data.draw(st.integers(len(text) + 1, 12))
+        else:
+            max_len = data.draw(st.integers(1, min(12, len(text))))
+            windows = len(text) - (max_len - 1 if mode == "linear" else 0)
+            if windows % 2 != case.endswith("odd"):
+                text += data.draw(st.sampled_from("01"))
+        s = BitSequence(text)
+        with mock.patch.multiple(bitseq, _BLOCK=block, _NARROW=narrow):
+            table = count_substrings_fast(s, max_len, mode)
+        assert table == count_substrings(s, max_len, mode)
+        expected = pair_counts(text, max_len, mode)
+        assert np.array_equal(table._pairs, expected)
+        start = (np.uint32 if expected.sum() >= 1 << (max_len + 9)
+                 else np.uint8 if 2 << max_len >= narrow else np.uint16)
+        if expected.max() > np.iinfo(start).max:
+            assert table._pairs.itemsize > np.dtype(start).itemsize
+        elif 8 * expected.max() <= 3 * np.iinfo(start).max:
+            assert table._pairs.dtype == start
+
+    def test_narrow_tables_widen_without_recounting(self):
+        # A 0.2-biased coin at L = 19: 2**20 uint8 entries, the all-zero pair
+        # about 840 times.  The largest count, taken after 1, 2, 4, ... blocks,
+        # widens the table to uint16 before it can wrap, so it is counted once.
+        s = biased_coin(1 << 21, 0.2, 1)
+        with mock.patch.object(bitseq, "_tally", wraps=bitseq._tally) as tally:
+            table = count_substrings_fast(s, 19)
+        assert tally.call_count == 1
+        assert table._pairs.dtype == np.uint16 and table._pairs.max() > 255
+        assert table._pairs.sum() == (len(s) - 18) // 2
+
+    def test_med_cohort_counts_each_table_once(self, tmp_path, capsys):
+        # The benchmark's six med-mode persons: tables of 2**13 entries whose
+        # largest pair counts reach 383.  Tables that small start as uint16,
+        # so none is counted twice.
+        inputs = bench_inputs()
+        paths = inputs.write_cohort(inputs.cohort(1), tmp_path / "in")
+        with mock.patch.object(bitseq, "_tally", wraps=bitseq._tally) as tally, \
+                mock.patch.object(estimator, "count_substrings_fast",
+                                  wraps=estimator.count_substrings_fast) as count:
+            assert cli.main(["analyze", *map(str, paths), "--mode", "med",
+                             "--out", str(tmp_path / "out")]) == 0
+        assert count.call_count >= 6
+        assert tally.call_count == count.call_count
 
     @pytest.mark.parametrize("mode", bitseq.COUNTINGS)
     def test_peak_memory_is_the_level(self, mode):
-        # 2**22 bits at L = 19: the uint16 level takes 1 MiB, and a block's
-        # words and window values a few hundred KiB.  Neither mode copies
+        # 2**22 bits at L = 19: the uint8 pair table takes 1 MiB, and a
+        # block's words and pair values a few hundred KiB.  Neither mode copies
         # the packed bits; cyclic mode appends its first L - 1 bits to a tail
         # of a few bytes.
         n = 1 << 22
@@ -340,12 +438,12 @@ class TestCountSubstringsFast:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.level(19).dtype == np.uint16
+        assert table._pairs.dtype == np.uint8
         assert peak < (1 << 20) + (768 << 10)
 
     def test_uint16_add_at_keeps_the_fast_path(self):
-        # np.add.at on a uint16 table with a uint16 scalar must take the same
-        # fast path as uint32; a slow path is many times slower.
+        # np.add.at on a uint8 or uint16 table with a scalar of its dtype must
+        # take the same fast path as uint32; a slow path is many times slower.
         idx = np.random.default_rng(16).integers(0, 1 << 20, 1 << 20).astype(np.uint32)
 
         def best(dtype):
@@ -357,6 +455,7 @@ class TestCountSubstringsFast:
                 times.append(time.perf_counter() - start)
             return min(times)
 
+        assert best(np.uint8) < 3 * best(np.uint32)
         assert best(np.uint16) < 3 * best(np.uint32)
 
     @settings(max_examples=200, deadline=None)
@@ -427,6 +526,11 @@ class TestCountTable:
                 counts[0] = 7
         assert table.level(3) is not table.level(3)
         assert table.level(3)[0] == table.count("000")
+        # The top level's pieces are derived from the pair table the same way.
+        piece = table.top(2, 9)
+        assert not piece.flags.writeable and not table._pairs.flags.writeable
+        assert table.top(2, 9) is not piece
+        assert np.array_equal(piece, table.level(8)[2:9])
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.text("01", max_size=40), max_len=st.integers(1, 12),

@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svrand import estimator
+from svrand import bitseq, estimator
 from svrand.bitseq import (COUNTINGS, BitSequence, CountTable, count_substrings,
                            count_substrings_fast, debruijn)
 from svrand.estimator import (EpsilonProfile, epsilon_profile, history_weights,
@@ -275,7 +275,7 @@ class TestEpsilonProfile:
 
     def test_peak_memory_is_the_count_table(self):
         # 2**22 bits: H = 21, and a length-20 history occurs once, so the
-        # table stores only length 20: 2**20 uint16 counts, 2 MiB.  Neither
+        # table stores only length 20: 2**21 uint8 pair counts, 2 MiB.  Neither
         # the counter, the singleton search nor the walk down may hold a
         # buffer that scales with n or 2**H beside it.
         rng = np.random.default_rng(22)
@@ -338,6 +338,23 @@ class TestProfileWalk:
             profile = epsilon_profile(s, max_h, mode, force_h=case != "clamped")
         table = count_substrings(s, profile.max_h + 1, mode)
         assert profile.epsilons == oracle_epsilons(table, profile.max_h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk=st.sampled_from([(1, 1), (2, 1), (2, 2), (7, 1), (4, 3)]),
+           narrow=st.sampled_from([1, bitseq._NARROW]), mode=st.sampled_from(COUNTINGS),
+           text=st.text("01", min_size=1, max_size=300), max_len=st.integers(1, 10))
+    def test_walk_over_pair_pieces_equals_explicit_levels(self, walk, narrow, mode, text,
+                                                          max_len):
+        # The first pass reads the top level a piece at a time from the pair
+        # table (uint8 with _NARROW at 1); the reference table passes every
+        # level explicitly, and its top level is sliced.
+        assume(mode == "linear" or max_len <= len(text))
+        s = BitSequence(text)
+        with mock.patch.object(bitseq, "_NARROW", narrow):
+            lean = count_substrings_fast(s, max_len, mode)
+        eager = count_substrings(s, max_len, mode)
+        with mock.patch.multiple(estimator, _CHUNK=walk[0], _PASS=walk[1]):
+            assert estimator._walk_down(lean) == estimator._walk_down(eager)
 
     @pytest.mark.parametrize("mode, end", [("linear", 0), ("linear", 1), ("cyclic", 1)])
     def test_top_spanning_several_pieces(self, mode, end):

@@ -593,6 +593,20 @@ class TestWrite:
                               annotation), header="index time interval annotation")
         assert serialized(series) == record_write(series)
 
+    @pytest.mark.parametrize("time", [1e306, -1e306, 1.7976931348623157e308])
+    def test_time_without_a_clock_writes_nothing(self, tmp_path, time):
+        # time * 1000 overflows: the record writer's round() raises
+        # OverflowError, and write_holter raises it, naming the row, before
+        # the file exists, even where the rows before it fill whole pieces.
+        rs = [RRRecord(k, 60.0 * k, 0.8, "N") for k in range(5)] + [RRRecord(5, time, 0.8, "N")]
+        series = RRSeries(rs, header="index time interval annotation")
+        with pytest.raises(OverflowError):
+            record_write(series)
+        with mock.patch.object(ingest, "_CHUNK_ROWS", 2), \
+                pytest.raises(OverflowError, match="row 5: time"):
+            write_holter(series, tmp_path / "rr.txt")
+        assert not (tmp_path / "rr.txt").exists()
+
 
 # -- pre-processing ----------------------------------------------------------
 
