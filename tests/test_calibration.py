@@ -45,20 +45,27 @@ def parity_markov(n, eps, k, seed):
     return BitSequence.from_array(np.frombuffer(bits, dtype=np.uint8))
 
 
+def azuma_radii(s, eps, k):
+    """{h: radius} over the well-sampled lengths h of the source's bits s."""
+    # Windows of k bits are equally likely; each further bit at least
+    # 1/2 - eps as likely, so a length-h history expects at least
+    # n * 2**-k * (1/2 - eps)**(h - k) occurrences.
+    top = k + int(math.log(MIN_EXPECTED * 2 ** k / len(s)) / math.log(0.5 - eps))
+    lengths = range(k, top + 1)
+    counts = count_substrings_fast(s, top + 1)
+    radii = {}
+    for h in lengths:
+        with_successor = counts.level(h + 1).reshape(-1, 2).sum(axis=1)
+        c_min = int(with_successor.min())
+        assert c_min > MIN_EXPECTED / 2  # every history is well sampled
+        radii[h] = math.sqrt(math.log(2 * 2 ** h * len(lengths) / DELTA) / (2 * c_min)) + 1 / c_min
+    return radii
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.12])
 def test_estimate_within_azuma_radius_of_true_epsilon(eps, k):
     s = parity_markov(N, eps, k, seed=100 * k + round(1000 * eps))
     profile = epsilon_profile(s)
-    # Windows of k bits are equally likely; each further bit at least
-    # 1/2 - eps as likely, so a length-h history expects at least
-    # N * 2**-k * (1/2 - eps)**(h - k) occurrences.
-    top = k + int(math.log(MIN_EXPECTED * 2 ** k / N) / math.log(0.5 - eps))
-    lengths = range(k, top + 1)
-    counts = count_substrings_fast(s, top + 1)
-    for h in lengths:
-        with_successor = counts.level(h + 1).reshape(-1, 2).sum(axis=1)
-        c_min = int(with_successor.min())
-        assert c_min > MIN_EXPECTED / 2  # every history is well sampled
-        radius = math.sqrt(math.log(2 * 2 ** h * len(lengths) / DELTA) / (2 * c_min)) + 1 / c_min
+    for h, radius in azuma_radii(s, eps, k).items():
         assert abs(profile.epsilons[h] - eps) <= radius, (h, profile.epsilons[h], radius)

@@ -5,7 +5,9 @@ intervals 0.8 s +- j microseconds: each step's sign is one source bit, the
 interval growing for a 0 as `discretize_accel` reads it.  The pipeline must
 give back exactly the source, so every epsilon in report.json is the
 source's own `epsilon_profile`, whichever way the file was read, and with
-`--cut 3,3` the profile of the source's own `cut_trends`.
+`--cut 3,3` the profile of the source's own `cut_trends`.  Uncut, each
+reported epsilon also lies within test_calibration's Azuma radius of the
+epsilon the source was built with, at every well-sampled length.
 """
 
 import json
@@ -19,7 +21,7 @@ from svrand.ingest import parse_holter, write_holter
 from svrand.report import fmt6
 from svrand.transform import TrendCutPattern, cut_trends
 
-from test_calibration import parity_markov
+from test_calibration import azuma_radii, parity_markov
 from test_ingest_oracles import format_clock, tiers
 
 NAME = "F_42_221500.txt"
@@ -53,6 +55,18 @@ def assert_reports(report, bits):
     assert person["eps_weighted"] == float(fmt6(weighted_epsilon(profile)))
 
 
+def assert_near_source(report, source, eps, k):
+    """report.json's epsilons lie within the Azuma radius of the source's eps.
+
+    The reported digits are rounded to 6 significant ones, under 1e-6 off.
+    A flipped comparison in discretize_accel complements every bit, which
+    leaves these epsilons unchanged, so this check does not catch one.
+    """
+    person, = json.loads(report)["persons"]
+    for h, radius in azuma_radii(source, eps, k).items():
+        assert abs(person["epsilons"][h] - eps) <= radius + 1e-6, (h, radius)
+
+
 def test_known_source_through_both_parse_paths(tmp_path, monkeypatch, capsys):
     source = parity_markov(10**5, 0.05, 2, seed=31)
     bits = source.to_array().view(bool)
@@ -65,6 +79,7 @@ def test_known_source_through_both_parse_paths(tmp_path, monkeypatch, capsys):
     assert calls["fixed"][0] is not None and not calls["table"]
 
     assert_reports(report, source)
+    assert_near_source(report, source, 0.05, 2)
 
     # The same series in write_holter's shortest repr intervals, whose
     # widths vary, goes through np.loadtxt and must report the same.
@@ -90,7 +105,9 @@ def test_calibration_source_rewritten_by_write_holter(tmp_path, monkeypatch, cap
     cut = cut_trends(source, TrendCutPattern(3, 3))
     assert len(cut) < len(source)
     with tiers() as calls:
-        assert_reports(analyze(table, monkeypatch), source)
+        report = analyze(table, monkeypatch)
+        assert_reports(report, source)
+        assert_near_source(report, source, eps, k)
         assert_reports(analyze(table, monkeypatch, "--cut", "3,3"), cut)
     assert calls["fixed"] == [None, None]
     assert len(calls["table"]) == 2 and all(t is not None for t in calls["table"])

@@ -189,8 +189,9 @@ def check_last_run(accel, decel, bit, extra):
 
 
 RUNS = st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 8)), max_size=40)
-# Block sizes that put block edges inside, at the end of and past every window.
-SMALL_BLOCKS = [1, 2, 3, 7, 64]
+# Block sizes that put block edges inside, at the end of and past every window,
+# and on, just before and just after the edges of the 64-bit words.
+SMALL_BLOCKS = [1, 2, 3, 7, 63, 64, 65, 129]
 
 
 @pytest.fixture(params=SMALL_BLOCKS)
@@ -232,6 +233,12 @@ class TestCutTrends:
             TrendCutPattern(0, 2)
         with pytest.raises(ValueError):
             TrendCutPattern(2, -1)
+        # Run lengths that are not integers, even whole floats and bools.
+        for accel, decel, name in [(2.5, 3, "accel"), (3.0, 3, "accel"), (True, 2, "accel"),
+                                   (3, 2.0, "decel"), (3, False, "decel")]:
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                TrendCutPattern(accel, decel)
+        assert TrendCutPattern(np.int64(3), 3).accel == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_and_accounting(self, seed):
@@ -259,8 +266,8 @@ class TestCutTrends:
 
     def test_peak_memory_per_input_bit(self):
         # The kept bits are packed into one buffer of n/8 bytes; the unpacked
-        # block, masks and head positions of one block of _BLOCK bits come to
-        # under 2 MiB more whatever n is.  A mask or an array of positions
+        # block, its keep mask and the word masks of one block of _BLOCK bits
+        # come to under 2 MiB more whatever n is.  A mask or an array of positions
         # over the whole sequence would add 1 byte per bit or more: the
         # one-mask cut peaked at 2.7, the unpacked n-byte output at 1.4.
         rng = np.random.default_rng(22)
@@ -320,6 +327,19 @@ class TestCutTrendsBlocks:
     def test_accounting_property(self, block, runs, accel, decel):
         with mock.patch.object(transform, "_BLOCK", block):
             check_accounting(runs, accel, decel)
+
+    @pytest.mark.parametrize("block", [64, 128, transform._BLOCK])
+    def test_heads_across_words_without_heads(self, block):
+        # Heads on bits 63 and 64, so the carry into word 1 is word 0's last
+        # head; a 200-bit run leaves words 2 and 3 with no head, so the carry
+        # into word 4 is filled forward over them; the 0-window at 382-385
+        # crosses the word edge at 384, a block edge for blocks of 64 and 128.
+        text = "0" * 63 + "1" + "0" * 200 + "1" * 118 + "0" * 12 + "1" * 3 + "0" * 5
+        with mock.patch.object(transform, "_BLOCK", block):
+            out = cut_trends(BitSequence(text), TrendCutPattern(1, 4))
+        kept, cycles, dangling = reference_cut(text, 1, 4)
+        assert (cycles, dangling) == (3, False)
+        assert str(out) == kept
 
     @pytest.mark.parametrize("pattern", [(3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 2)])
     def test_default_blocks_match_one_mask(self, pattern):
