@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 import statistics
 import warnings
 from collections import deque
@@ -73,17 +74,17 @@ _INDEX_DIGITS = 18
 _MANTISSA_DIGITS = 15
 _ANNOTATION_WIDTH = 15
 # The longest row it takes: four fields, three tabs and the newline.
-_LONGEST_ROW = _INDEX_DIGITS + 12 + _MANTISSA_DIGITS + 1 + _ANNOTATION_WIDTH + 4
+_LONGEST_ROW = _INDEX_DIGITS + _CLOCK_TEMPLATE.size + _MANTISSA_DIGITS + 1 + _ANNOTATION_WIDTH + 4
 # A run of one row layout is checked in pieces of this many rows, each piece
 # four times the last, so a layout that breaks early costs little.
 _FIRST_ROWS = 64
 # Rows whose bytes are range-checked at a time: about 0.5 MiB of scratch.
 _PIECE_ROWS = 1 << 14
 
-# One row of the table path.  The clock field holds one byte more than the
-# layout, and no annotation may fill its field, so that a cut shows.
-_ROW = np.dtype([("index", np.int64), ("time", "S13"), ("interval", np.float64),
-                 ("annotation", "S16")])
+# One row of the table path.  The clock and annotation fields each hold one
+# byte more than the layout takes, so that a cut shows.
+_ROW = np.dtype([("index", np.int64), ("time", f"S{_CLOCK_TEMPLATE.size + 1}"),
+                 ("interval", np.float64), ("annotation", f"S{_ANNOTATION_WIDTH + 1}")])
 # The characters np.loadtxt splits as str.splitlines and str.split do.
 _PLAIN = bytes(range(32, 127)) + b"\t\n"
 # What the fixed-width reader finds at a row's three tabs and its end.
@@ -259,34 +260,35 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 3 (interval): {exc}") from None
 
 
-def _parse_table(path: str) -> RRSeries | None:
-    """The rows after the file's header line, read as one table.
+def _parse_table(path: str) -> tuple[RRSeries | None, bytes | None]:
+    """The rows after the file's header line read as one table, and the bytes read.
 
-    The file is read once, as bytes with universal newlines, as open() reads
-    text.  Returns None unless the header is one line to `str.splitlines`
-    and the result provably equals what `_parse_row` makes of each non-blank
-    line: rows of fixed-width fields go to `_parse_fixed`, and any other
-    body of printable ASCII with tab and newline to `_load_table`.
+    The bytes are read with universal newlines, as open() reads text.  The
+    series is None unless the header is one line to `str.splitlines` and the
+    result provably equals what `_parse_row` makes of each non-blank line:
+    fixed-width rows go to `_parse_fixed`, and in a regular file any other
+    body of printable ASCII with tab and newline to `_load_table`, which has
+    numpy read the file again; the bytes are freed first, and come back None.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     start = data.find(b"\n") + 1 or len(data)
     try:
         lines = data[:start].decode("utf-8").splitlines()
     except UnicodeDecodeError:
-        return None
+        return None, data
     if len(lines) != 1:
-        return None
+        return None, data
     series = _parse_fixed(data, start, lines[0])
-    if series is not None:
-        return series
     # What translate keeps of the whole file is the header's when the body is plain.
-    if data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN):
-        return None
+    if (series is not None or not regular
+            or data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN)):
+        return series, data
     del data  # freed before numpy reads the file again
-    return _load_table(path, lines[0])
+    return _load_table(path, lines[0]), None
 
 
 def _horner(rows: np.ndarray, columns, out: np.ndarray, radix=None) -> None:
@@ -334,15 +336,15 @@ def _parse_fixed(data: bytes, start: int, header: str) -> RRSeries | None:
             return None
         index_w, clock_w, value_w, label_w = map(len, fields)
         dot = fields[2].find(b".")
-        if (not 0 < index_w <= _INDEX_DIGITS or index_w in widths or clock_w != 12
-                or not 1 < value_w <= _MANTISSA_DIGITS + 1 or dot < 0
+        if (not 0 < index_w <= _INDEX_DIGITS or index_w in widths or dot < 0
+                or clock_w != _CLOCK_TEMPLATE.size or not 1 < value_w <= _MANTISSA_DIGITS + 1
                 or not 0 < label_w <= _ANNOTATION_WIDTH):
             return None
         widths.add(index_w)
         # Each column's lowest byte; _SPAN says how far above it a byte may be.
-        low = np.frombuffer(b"0" * index_w + b"\t00:00:00.000\t" + b"0" * dot + b"."
-                            + b"0" * (value_w - dot - 1) + b"\t" + b"!" * label_w
-                            + b"\n", dtype=np.uint8)
+        low = np.frombuffer(b"0" * index_w + b"\t" + _CLOCK_TEMPLATE.tobytes() + b"\t"
+                            + b"0" * dot + b"." + b"0" * (value_w - dot - 1) + b"\t"
+                            + b"!" * label_w + b"\n", dtype=np.uint8)
         ends = np.flatnonzero(low < ord("!"))   # the three tabs and the newline
         size = (len(data) - pos) // len(row)
         rows = body[pos:pos + size * len(row)].reshape(size, len(row))
@@ -393,11 +395,11 @@ def _load_table(path: str, header: str) -> RRSeries | None:
     with tab and newline, where `np.loadtxt` breaks lines and fields as
     `str.splitlines` and `str.split` do.  Returns None unless every line has
     four fields that `loadtxt` converts as `int()` and `float()` would;
-    every clock converts; the interval is positive and finite; and no field
-    was cut to its width.  `loadtxt` reads the file itself, in large chunks,
-    so names ending in .gz, .bz2, .xz or .lzma, which numpy would
-    decompress, give None too.  A relative path goes to numpy behind "./",
-    which numpy never takes for a URL.
+    every clock is on the HH:MM:SS.mmm layout; the interval is positive and
+    finite; and no field was cut to its width.  `loadtxt` reads the file
+    again, in large chunks, so names ending in .gz, .bz2, .xz or .lzma,
+    which numpy would decompress, give None too.  A relative path goes to
+    numpy behind "./", which numpy never takes for a URL.
     """
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
         return None
@@ -417,38 +419,32 @@ def _load_table(path: str, header: str) -> RRSeries | None:
     if not np.all((interval > 0) & (interval < np.inf)):
         return None
     width = int(np.char.str_len(rows["annotation"]).max(initial=1))
-    if width >= _ROW["annotation"].itemsize:
+    if width > _ANNOTATION_WIDTH:
+        return None
+    # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
+    # is exact digit arithmetic on the HH:MM:SS.mmm layout.  A NUL in the
+    # last byte shows the field was not cut.
+    clock = rows["time"].view((np.uint8, _ROW["time"].itemsize))
+    if np.any(clock[:, -1]) or np.any(clock[:, :-1] - _CLOCK_TEMPLATE > _SPAN[_CLOCK_TEMPLATE]):
         return None
     index = rows["index"].copy()
     # The annotation field's bytes, the last of each row: ASCII without NUL,
     # so each byte widened is its code point, and zeros pad the shorter values.
     field = rows.view((np.uint8, _ROW.itemsize))[:, _ROW.fields["annotation"][1]:]
     annotation = field[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
-
-    # Clock: _parse_clock's (H * 60 + M) * 60_000 + round(float(S.mmm) * 1000)
-    # is exact digit arithmetic on the HH:MM:SS.mmm layout; other clocks,
-    # such as raw seconds, go through _parse_clock one by one.  A NUL in the
-    # last byte shows the field was not cut.
-    clock = rows["time"].view((np.uint8, 13))
-    if np.any(clock[:, 12]):
-        return None
-    other = np.flatnonzero(np.any(clock[:, :12] - _CLOCK_TEMPLATE > _SPAN[_CLOCK_TEMPLATE],
-                                  axis=1))
     ms = np.empty(rows.size, dtype=np.uint32)
     _horner(clock, _CLOCK_DIGITS, ms, _CLOCK_RADIX)
-    time = ms / 1000.0
-    try:
-        time[other] = [_parse_clock(cell.decode()) for cell in rows["time"][other]]
-    except (ValueError, OverflowError):
-        return None
-    return RRSeries._from_columns(index, time, interval, annotation,
+    return RRSeries._from_columns(index, ms / 1000.0, interval, annotation,
                                   np.zeros(rows.size, dtype=bool), header=header)
 
 
-def _parse_rows(path: str) -> RRSeries:
-    """Lines after the header parsed one by one, numbered from 2; all failures raised together."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _parse_rows(path: str, data: bytes | None) -> RRSeries:
+    """The lines after the header of data, or of the file read again when None,
+    parsed one by one and numbered from 2; all failures raised together."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise HolterFormatError(f"{path}: empty file")
     records = []
@@ -490,16 +486,16 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
     """Read one annotated RR file, given its path as a str or `os.PathLike`.
 
-    The file's bytes are read once.  Rows of fixed-width fields are decoded
-    from them in place, and other plain ASCII rows are read as one table
-    with `np.loadtxt`, each only where that provably gives the row parser's
-    result.  Otherwise the text is parsed line by line, and all malformed
-    rows are reported together, each with its line number.
+    Rows of fixed-width fields are decoded in place from the bytes read, and
+    other plain ASCII rows of a regular file are read again by `np.loadtxt`,
+    each only where that provably gives the row parser's result for the whole
+    file.  Otherwise the lines, of the bytes read unless numpy read the file,
+    are parsed one by one; all malformed rows are reported with their line numbers.
     """
     path = os.fspath(source)
-    series = _parse_table(path)
+    series, data = _parse_table(path)
     if series is None:
-        series = _parse_rows(path)
+        series = _parse_rows(path, data)
     if not len(series):
         raise HolterFormatError(f"{path}: no records")
     return parse_meta(path, meta_pattern), series

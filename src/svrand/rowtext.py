@@ -155,16 +155,16 @@ def holter_rows(index, ms, interval, annotation) -> np.ndarray:
     upper = max(int(index.max()), -int(index.min())) // 10
     index_w = int(np.searchsorted(_POW10, upper, side="right")) + 2
 
-    tabs = np.array([index_w, index_w + 13, index_w + 14 + region])
+    start = index_w + 1 + _CLOCK_TEMPLATE.size + 1   # where the interval starts
+    tabs = np.array([index_w, start - 1, start + region])
     width = tabs[2] + label.shape[1] + 2
     cells = np.empty((width, n), dtype=np.uint8)
     keep = np.ones((width, n), dtype=bool)
     cells[tabs] = ord("\t")
     cells[-1] = ord("\n")
     _put_index(cells[:index_w], keep[:index_w], index)
-    _put_clock(cells[index_w + 1:index_w + 13], ms)
+    _put_clock(cells[index_w + 1:start - 1], ms)
 
-    start = index_w + 14
     point = start + integer_w
     _put_digits(cells[start:point], integer)
     np.greater_equal(integer, _POW10[:integer_w, None][::-1], out=keep[start:point])

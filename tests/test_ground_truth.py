@@ -8,6 +8,10 @@ source's own `epsilon_profile`, whichever way the file was read, and with
 `--cut 3,3` the profile of the source's own `cut_trends`.  Uncut, each
 reported epsilon also lies within test_calibration's Azuma radius of the
 epsilon the source was built with, at every well-sampled length.
+
+Those epsilons are the same for the complemented bits, so the bits
+`cli._person_bits` returns are also checked against the source itself, on
+a recording whose premature beats the normal-beat filter must drop.
 """
 
 import json
@@ -27,15 +31,22 @@ from test_ingest_oracles import format_clock, tiers
 NAME = "F_42_221500.txt"
 
 
-def write_recording(path, bits):
-    """The bits as a fixed-width recording: microsecond intervals, millisecond clock."""
+def write_recording(path, bits, ectopic=()):
+    """The bits as a fixed-width recording: microsecond intervals, millisecond clock.
+
+    After each normal beat numbered in ectopic (from 0) comes a premature
+    beat of 0.5 s annotated V.  Kept, it would add a 1 and a 0 to the bits.
+    """
     micro = 800_000 + np.concatenate(([0], np.cumsum(np.where(bits, -1, 1))))
     assert 0 < micro.min() and micro.max() < 10**6
+    after = np.asarray(ectopic, dtype=np.intp) + 1
+    micro = np.insert(micro, after, 500_000)
+    label = np.insert(np.full(len(bits) + 1, "N"), after, "V")
     clock = np.cumsum(micro) // 1000 / 1000
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index\ttime\tinterval\tannotation\n")
-        fh.writelines(f"{k}\t{format_clock(t)}\t0.{m:06d}\tN\n"
-                      for k, (t, m) in enumerate(zip(clock.tolist(), micro.tolist()), start=1))
+        fh.writelines(f"{k}\t{format_clock(t)}\t0.{m:06d}\t{a}\n" for k, (t, m, a)
+                      in enumerate(zip(clock.tolist(), micro.tolist(), label.tolist()), start=1))
 
 
 def analyze(directory, monkeypatch, *options):
@@ -111,4 +122,24 @@ def test_calibration_source_rewritten_by_write_holter(tmp_path, monkeypatch, cap
         assert_reports(analyze(table, monkeypatch, "--cut", "3,3"), cut)
     assert calls["fixed"] == [None, None]
     assert len(calls["table"]) == 2 and all(t is not None for t in calls["table"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cut", [None, (3, 3)])
+def test_person_bits_are_the_source_around_non_normal_beats(tmp_path, monkeypatch, capsys,
+                                                            cut):
+    # A complemented discretizer, a filter that keeps every beat or a cut
+    # made twice each changes the bits, though not always the epsilons.
+    source = parity_markov(10**5, 0.05, 2, seed=31)
+    bits = source.to_array().view(bool)
+    ectopic = np.random.default_rng(7).choice(len(bits) + 1, 400, replace=False)
+    write_recording(tmp_path / NAME, bits, ectopic)
+    assert np.sum(parse_holter(tmp_path / NAME)[1].annotation == "V") == 400
+    expected = source if cut is None else cut_trends(source, TrendCutPattern(*cut))
+    config = cli.RunConfig(inputs=(NAME,), cut=cut)
+    meta, got = cli._person_bits(str(tmp_path / NAME), config)
+    assert (meta.sex, meta.age) == ("F", 42)
+    assert got == expected
+    options = () if cut is None else ("--cut", ",".join(map(str, cut)))
+    assert_reports(analyze(tmp_path, monkeypatch, *options), expected)
     capsys.readouterr()

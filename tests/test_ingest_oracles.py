@@ -10,6 +10,7 @@ import os
 import statistics
 import string
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -160,31 +161,37 @@ blank = st.sampled_from(["", " ", "\t", "  \t"])
 # Up to 15 characters: every width the table path takes.
 annotations = st.text(alphabet=string.ascii_letters + string.punctuation,
                       min_size=1, max_size=15)
-clocks = st.one_of(
-    st.builds("{:02d}:{:02d}:{:02d}.{:03d}".format, st.integers(0, 99),
-              st.integers(0, 99), st.integers(0, 99), st.integers(0, 999)),
-    # Off the HH:MM:SS.mmm layout: raw seconds and short fields, at most 12
-    # characters.
+on_layout_clocks = st.builds("{:02d}:{:02d}:{:02d}.{:03d}".format, st.integers(0, 99),
+                             st.integers(0, 99), st.integers(0, 99), st.integers(0, 999))
+# Off the HH:MM:SS.mmm layout: raw seconds and short fields, at most 12
+# characters.  Only the row parser reads them.
+off_layout_clocks = st.one_of(
     st.from_regex(r"[0-9]{1,7}(\.[0-9]{0,3})?|\.[0-9]{1,3}", fullmatch=True),
     st.builds("{}:{}:{}".format, st.integers(0, 99), st.integers(0, 99),
               st.integers(0, 99)))
+clocks = st.one_of(on_layout_clocks, off_layout_clocks)
 intervals = st.one_of(
     st.floats(min_value=0.1, max_value=1e3).map(repr),   # at most 19 characters
     st.from_regex(r"[0-9]{1,6}\.[0-9]{0,12}|\.[0-9]{1,12}|[0-9]{1,19}", fullmatch=True)
     .filter(lambda s: float(s) > 0))
 indices = st.one_of(st.integers(0, 10**6).map(str), st.from_regex(r"[0-9]{1,18}",
                                                                   fullmatch=True))
-rows = st.lists(st.tuples(indices, clocks, intervals, annotations), min_size=1,
-                max_size=40)
 
 
 @st.composite
-def valid_files(draw):
+def valid_files(draw, clock=clocks, off_layout=False):
+    """Valid files whose clocks are drawn from clock; with off_layout, one row
+    at least has a clock off the HH:MM:SS.mmm layout."""
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [draw(st.text(alphabet=string.printable.replace("\n", "")
                           .replace("\r", "").replace("\x0b", "").replace("\x0c", ""),
                           max_size=20))]
-    for fields in draw(rows):
+    rows = draw(st.lists(st.tuples(indices, clock, intervals, annotations), min_size=1,
+                         max_size=40))
+    if off_layout:
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = (rows[k][0], draw(off_layout_clocks), *rows[k][2:])
+    for fields in rows:
         if draw(st.booleans()) and draw(st.booleans()):
             lines.append(draw(blank))
         sep = draw(separators)
@@ -236,17 +243,30 @@ def corrupted_files(draw):
 
 class TestBulkParse:
     @SETTINGS
-    @given(text=valid_files())
+    @given(text=valid_files(on_layout_clocks))
     def test_equals_row_parser_on_valid_files(self, text):
         # CRLF line ends included: the table path decides.
         with written(text) as path:
-            table = ingest._parse_table(path)
+            table, _ = ingest._parse_table(path)
             series = parse_holter(path)[1]
         expected = row_parse(text)
         assert table is not None
         assert table == series == expected
         assert series.annotation.dtype == expected.annotation.dtype
         assert series.records == expected.records
+
+    @SETTINGS
+    @given(text=valid_files(off_layout=True))
+    def test_off_layout_clock_sends_the_file_to_the_row_parser(self, text):
+        # The table tiers take a whole file or refuse it: one clock off the
+        # HH:MM:SS.mmm layout, such as raw seconds, and no rows come from them.
+        with written(text) as path:
+            table, _ = ingest._parse_table(path)
+            series = parse_holter(path)[1]
+        expected = row_parse(text)
+        assert table is None
+        assert series == expected
+        assert series.annotation.dtype == expected.annotation.dtype
 
     @SETTINGS
     @given(text=corrupted_files())
@@ -260,14 +280,15 @@ class TestBulkParse:
         got, expected = file_outcomes(text)
         assert got == expected
 
-    def test_raw_seconds_clock_stays_on_table_path(self):
+    def test_raw_seconds_clock_goes_to_the_row_parser(self):
+        # np.loadtxt reads the file and refuses it whole for its last clock.
         text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 0.8 N\n" for k in range(1, 5))
         text += "5 3600.5 0.8 N\n"
-        with written(text) as path:
-            table = ingest._parse_table(path)
-        assert table is not None
-        assert table == row_parse(text)
-        assert table.time[-1] == 3600.5
+        with tiers() as calls:
+            series = holter_parse(text)
+        assert calls["fixed"] == [None] and calls["table"] == [None]
+        assert series == row_parse(text)
+        assert series.time[-1] == 3600.5
 
     @pytest.mark.parametrize("annotation,table_path", [("ABCDEFGHIJKLMNO", True),
                                                        ("ABCDEFGHIJKLMNOP", False)])
@@ -275,7 +296,7 @@ class TestBulkParse:
         # An annotation of 16 or more characters would fill its table field.
         text = f"hdr\n1 00:00:01.000 0.8 N\n2 00:00:02.000 0.8 {annotation}\n"
         with written(text) as path:
-            table = ingest._parse_table(path)
+            table, _ = ingest._parse_table(path)
         assert (table is not None) == table_path
         series = row_parse(text)
         assert series.annotation[-1] == annotation
@@ -445,6 +466,118 @@ class TestFixedWidth:
             assert holter_parse(text) == series
         assert calls["fixed"] == [None] and calls["table"] == [series]
         assert horner.call_count == 1  # the table's clocks
+
+
+# -- pipes and FIFOs --------------------------------------------------------
+
+# Seconds a read of a pipe may take before it counts as hung.
+PIPE_TIMEOUT = 30.0
+
+
+def parse_in_thread(path, release):
+    """parse_holter's outcome on path, read in another thread.  A read still
+    waiting after PIPE_TIMEOUT seconds is let go by release() and fails the
+    test, so that a regression cannot hang the suite."""
+    result = []
+    reader = threading.Thread(target=lambda: result.append(outcome(
+        lambda: parse_holter(path)[1])), daemon=True)
+    reader.start()
+    reader.join(PIPE_TIMEOUT)
+    waited = reader.is_alive()
+    if waited:
+        release()
+        reader.join(PIPE_TIMEOUT)
+    assert not waited, f"reading {path} still waited after {PIPE_TIMEOUT} s"
+    return result[0]
+
+
+def fifo_outcome(path, text: str):
+    """parse_holter's outcome on a FIFO made at path, which another thread
+    fills with the text's UTF-8 bytes."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(text.encode("utf-8"),),
+                              daemon=True)
+    writer.start()
+
+    def release():
+        # A writer that opens and closes at once gives a reader waiting in
+        # open() an empty file.
+        with contextlib.suppress(OSError):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    try:
+        got = parse_in_thread(path, release)
+    finally:
+        writer.join(PIPE_TIMEOUT)
+    assert not writer.is_alive()
+    return got
+
+
+def piped_texts():
+    """A variable-width file, which a regular file gives np.loadtxt, a
+    fixed-width one and the variable-width one with a malformed row."""
+    variable = serialized(synthetic_rr(SourceSpec(n=3000, seed=5)))
+    lines = variable.split("\n")
+    index, clock, _, label = lines[1500].split("\t")
+    lines[1500] = "\t".join((index, clock, "-0.5", label))
+    fixed = "hdr\n" + "".join(f"{k}\t00:{k // 60 % 60:02d}:{k % 60:02d}.250\t0.{k:04d}\tN\n"
+                              for k in range(1000, 4000))
+    return {"variable width": variable, "fixed width": fixed, "malformed": "\n".join(lines)}
+
+
+class TestPipes:
+    @pytest.mark.parametrize("content", ["variable width", "fixed width", "malformed"])
+    def test_fifo_equals_its_regular_file(self, tmp_path, content):
+        # The bytes of a FIFO can be read once: numpy must not open it again.
+        text = piped_texts()[content]
+        path = tmp_path / "F_42_221500.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(lambda: parse_holter(path)[1])
+        path.unlink()
+        assert fifo_outcome(path, text) == expected
+        if content == "malformed":
+            assert expected == ("HolterFormatError", f"{path}: line 1501: column 3 "
+                                "(interval): RR interval must be positive, got -0.5")
+        else:
+            assert expected == row_parse(text)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_anonymous_pipe_gives_the_series(self):
+        # As `svrand analyze <(cat FILE)` names it: a path to an open pipe.
+        text = piped_texts()["variable width"]
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            got = parse_in_thread(f"/dev/fd/{read_end}", lambda: None)
+        finally:
+            writer.join(PIPE_TIMEOUT)
+            os.close(read_end)
+        assert not writer.is_alive()
+        assert got == row_parse(text)
+
+    def test_regular_file_bytes_are_freed_before_numpy_reads_it(self, tmp_path):
+        path = tmp_path / "F_42_221500.txt"
+        write_holter(synthetic_rr(SourceSpec(n=20_000, seed=3)), path)
+        held, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return loadtxt(*args, **kwargs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(np, "loadtxt", spy):
+                series = parse_holter(path)[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 20_000
+        assert len(held) == 1 and held[0] < path.stat().st_size / 8
 
 
 # -- shortest repr digits ----------------------------------------------------
