@@ -10,11 +10,11 @@ building small series by hand and for reading rows back.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
 import stat
-import statistics
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -80,6 +80,8 @@ _LONGEST_ROW = _INDEX_DIGITS + _CLOCK_TEMPLATE.size + _MANTISSA_DIGITS + 1 + _AN
 _FIRST_ROWS = 64
 # Rows whose bytes are range-checked at a time: about 0.5 MiB of scratch.
 _PIECE_ROWS = 1 << 14
+# Candidate nocturnal windows scored at a time: about 0.5 MiB of scratch.
+_WINDOW_STARTS = 1 << 14
 
 # One row of the table path.  The clock and annotation fields each hold one
 # byte more than the layout takes, so that a cut shows.
@@ -192,13 +194,21 @@ class RRSeries:
         return f"RRSeries(<{len(self)} beats>, header={self.header!r})"
 
     def elapsed(self) -> np.ndarray:
-        """Seconds since the first record; clock wraps at midnight are unfolded."""
+        """Seconds since the first record; clock wraps at midnight are unfolded.
+
+        The steps are taken, unfolded and summed in the one float64 column
+        returned; a mask of the backward steps, 1 byte a beat, is all the
+        scratch beside it.
+        """
         t = self.time
         if t.size == 0:
             return t
-        steps = np.diff(t)
+        out = np.zeros_like(t)
+        steps = out[1:]
+        np.subtract(t[1:], t[:-1], out=steps)
         steps[steps < 0] += _SECONDS_PER_DAY
-        return np.concatenate([[0.0], np.cumsum(steps)])
+        np.cumsum(steps, out=steps)
+        return out
 
 
 @dataclass(frozen=True)
@@ -547,9 +557,13 @@ def extract_nocturnal(series: RRSeries, duration: float = 6 * 3600.0) -> RRSerie
 
     Candidate windows start at each record and contain every record within
     `duration` seconds of the start; ties go to the earliest start.  The
-    slowest such window approximates the sleep period.
+    slowest such window approximates the sleep period.  Two float64 columns
+    of the series' length, the elapsed times and the interval prefix sums,
+    are held at once, and the windows are scored `_WINDOW_STARTS` starts at
+    a time, about 0.5 MiB beside them; the window returned shares the
+    series' columns.
     """
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
     if len(series) == 0:
         raise ValueError("empty series")
@@ -558,16 +572,28 @@ def extract_nocturnal(series: RRSeries, duration: float = 6 * 3600.0) -> RRSerie
         raise ValueError(
             f"series spans {t[-1] - t[0]:.1f} s, shorter than the "
             f"{duration:.1f} s window")
-    if np.any(np.diff(t) < 0):
+    if np.any(t[1:] < t[:-1]):
         raise ValueError("clock times step back by more than a day")
-    sums = np.concatenate([[0.0], np.cumsum(series.interval)])
+    sums = np.zeros(len(t) + 1)
+    np.cumsum(series.interval, out=sums[1:])
     # Candidate starts stop at the first window that would run past the
-    # recording; each window ends at the last record within `duration`.
-    stop = int(np.argmax(t[-1] - t < duration))
-    ends = np.searchsorted(t, t[:stop] + duration, side="right") - 1
-    means = (sums[ends + 1] - sums[:stop]) / (ends - np.arange(stop) + 1)
-    best = int(np.argmax(means))
-    window = series._take(slice(best, ends[best] + 1))
+    # recording: t[-1] - t[i] < duration holds from there on, since t never
+    # falls, so bisection finds it.
+    stop = bisect.bisect_left(range(len(t)), True, key=lambda i: bool(t[-1] - t[i] < duration))
+    # Each window ends before pos, the first record past `duration`.  Every
+    # piece keeps its first best start, and the first best of those wins, so
+    # a tie goes to the earliest start, and a NaN mean, as np.argmax has it.
+    pieces = []
+    for lo in range(0, stop, _WINDOW_STARTS):
+        hi = min(lo + _WINDOW_STARTS, stop)
+        pos = np.searchsorted(t, t[lo:hi] + duration, side="right")
+        means = sums[pos]
+        means -= sums[lo:hi]
+        means /= pos - np.arange(lo, hi)
+        k = int(np.argmax(means))
+        pieces.append((means[k], lo + k, int(pos[k])))
+    _, best, end = pieces[int(np.argmax([mean for mean, _, _ in pieces]))]
+    window = series._take(slice(best, end))
     if len(window) < NOCTURNAL_MIN_RECORDS:
         warnings.warn(f"nocturnal window holds {len(window)} records, fewer than "
                       f"the recommended {NOCTURNAL_MIN_RECORDS}")
@@ -597,7 +623,11 @@ def edit_perturbations(series: RRSeries) -> RRSeries:
     for start, end in zip(bounds[::2], bounds[1::2]):
         recent.extend(interval[max(previous_end, start - 7):start].tolist())
         if end - start < 5 and recent:
-            median = statistics.median(recent)
+            # statistics.median's arithmetic: the middle value, or the mean of the two.
+            ordered = sorted(recent)
+            half = len(ordered) // 2
+            median = (ordered[half] if len(ordered) % 2
+                      else (ordered[half - 1] + ordered[half]) / 2)
             interval[start:end] = median
             repaired[start:end] = True
             recent.extend([median] * (end - start))

@@ -1,6 +1,9 @@
 import io
 import random
 import socket
+import subprocess
+import sys
+import tracemalloc
 import urllib.request
 import warnings
 from pathlib import Path
@@ -9,9 +12,11 @@ import numpy as np
 import pytest
 from test_ingest_oracles import holter_parse, serialized
 
+from svrand import ingest
 from svrand.ingest import (NOCTURNAL_MIN_RECORDS, HolterFormatError, PersonMeta, RRRecord,
                            RRSeries, edit_perturbations, extract_nocturnal, filter_normal,
                            parse_holter, write_holter)
+from svrand.synth import SourceSpec, synthetic_rr
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,6 +243,28 @@ class TestExtractNocturnal:
         with pytest.raises(ValueError, match="shorter"):
             extract_nocturnal(make_series([1.0] * 10), duration=60.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_duration_must_be_positive(self, make_series, duration):
+        with pytest.raises(ValueError, match=f"duration must be positive, got {duration}"):
+            extract_nocturnal(make_series([1.0] * 10), duration=duration)
+
+    def test_peak_memory_is_two_columns_and_one_piece(self):
+        # Whole-series columns: the elapsed times and the prefix sums, 8 bytes
+        # a beat each.  One piece of _WINDOW_STARTS candidate starts: the
+        # positions, means, start numbers and denominators, 8 bytes a start
+        # each.  Any third whole-series temporary alive with the two, even a
+        # 1-byte mask, goes past the 64 KiB spare; the whole-array search
+        # held five at once and peaked at 40-45 bytes a beat.
+        n = 1 << 18
+        series = synthetic_rr(SourceSpec(n=n, seed=4))
+        tracemalloc.start()
+        try:
+            extract_nocturnal(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (n + 1) + 4 * 8 * ingest._WINDOW_STARTS + (64 << 10)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, make_series, seed):
         rng = random.Random(seed)
@@ -307,6 +334,24 @@ class TestEditPerturbations:
         once = edit_perturbations(series)
         assert all(r.annotation == "N" for r in once.records)
         assert edit_perturbations(once) == once
+
+    def test_commands_never_load_statistics(self):
+        # The median of at most 7 values is taken without statistics, which
+        # imports fractions and decimal: about 0.5 MiB and 4-5 ms on every
+        # command.  Runs in a subprocess, where no other test loaded them;
+        # only what svrand adds to numpy's own imports is checked.
+        root = Path(__file__).resolve().parents[1]
+        script = "\n".join([
+            "import sys",
+            "import numpy",
+            "before = set(sys.modules)",
+            "sys.path.insert(0, sys.argv[1])",
+            "import svrand.cli",
+            "print(sorted({'statistics', 'fractions', 'decimal'} & (set(sys.modules) - before)))"])
+        proc = subprocess.run([sys.executable, "-c", script, str(root / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestElapsed:

@@ -89,6 +89,18 @@ def nocturnal_loop(series: RRSeries, duration: float) -> RRSeries:
     return RRSeries(series.records[best_start:best_end + 1], series.header)
 
 
+def elapsed_loop(series: RRSeries) -> list[float]:
+    """Each clock step, unfolded at midnight, added on to the last; the first as it is."""
+    times = series.time.tolist()
+    out = [0.0] * len(times)
+    for k in range(1, len(times)):
+        step = times[k] - times[k - 1]
+        if step < 0:
+            step += 86400.0
+        out[k] = step if k == 1 else out[k - 1] + step
+    return out
+
+
 def edit_loop(series: RRSeries) -> RRSeries:
     out: list[RRRecord] = []
     i = 0
@@ -759,17 +771,53 @@ def recordings(draw):
     return RRSeries(out, header="h")
 
 
+def check_nocturnal(series: RRSeries, fraction: float) -> None:
+    t = series.elapsed()
+    duration = max(fraction * (t[-1] - t[0]), 1e-3)
+    got = outcome(lambda: extract_nocturnal(series, duration))
+    if isinstance(got, tuple):
+        assert t[-1] - t[0] < duration
+        return
+    assert got == nocturnal_loop(series, duration)
+
+
 class TestAgainstLoops:
     @SETTINGS
     @given(series=recordings(), fraction=st.floats(0.01, 1.0))
     def test_nocturnal_window(self, series, fraction):
-        t = series.elapsed()
-        duration = max(fraction * (t[-1] - t[0]), 1e-3)
-        got = outcome(lambda: extract_nocturnal(series, duration))
-        if isinstance(got, tuple):
-            assert t[-1] - t[0] < duration
-            return
-        assert got == nocturnal_loop(series, duration)
+        check_nocturnal(series, fraction)
+
+    @pytest.mark.parametrize("starts", [1, 3, 7])
+    @SETTINGS
+    @given(series=recordings(), fraction=st.floats(0.01, 1.0))
+    def test_nocturnal_window_in_pieces(self, starts, series, fraction):
+        # Piece edges fall among the candidate starts, and the quantised
+        # draws tie means across them: the earliest start must still win.
+        with mock.patch.object(ingest, "_WINDOW_STARTS", starts):
+            check_nocturnal(series, fraction)
+
+    # Prefix sums of intervals near the float maximum overflow, and numpy
+    # warns of it as the whole-array search did.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:nocturnal window holds")
+    def test_nocturnal_window_of_nan_means_in_any_pieces(self):
+        # The means of the windows from start 2 on are inf - inf = NaN, and
+        # np.argmax over all means took the first NaN; a NaN in a piece must
+        # not hide it.
+        series = RRSeries([RRRecord(k, float(k), 1e308, "N") for k in range(20)])
+        whole = extract_nocturnal(series, duration=5.0)
+        assert whole.index.tolist() == list(range(2, 8))
+        for starts in (1, 3, 7):
+            with mock.patch.object(ingest, "_WINDOW_STARTS", starts):
+                assert extract_nocturnal(series, duration=5.0) == whole
+
+    @SETTINGS
+    @given(times=st.lists(st.floats(-2e5, 2e5), max_size=20))
+    def test_elapsed(self, times):
+        # Any clock: wraps, steps back by more than a day, signed zeros.
+        series = RRSeries([RRRecord(k, time, 1.0, "N") for k, time in enumerate(times)])
+        assert series.elapsed().tobytes() == np.array(elapsed_loop(series)).tobytes()
 
     @SETTINGS
     @given(series=recordings())
