@@ -186,8 +186,11 @@ def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig) -> PersonR
         requested = loglog_history(n)
     else:
         requested = int(config.h)
-    profile = epsilon_profile(bits, requested, mode=config.counting,
-                              force_h=config.force_h)
+    try:
+        profile = epsilon_profile(bits, requested, mode=config.counting,
+                                  force_h=config.force_h)
+    except ValueError as exc:
+        raise ValueError(f"{meta.id}: {exc}") from exc
     weighted = None
     try:
         weighted = weighted_epsilon(profile)

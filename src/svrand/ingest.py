@@ -11,10 +11,10 @@ building small series by hand and for reading rows back.
 from __future__ import annotations
 
 import bisect
+import io
 import math
 import os
 import re
-import stat
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -273,32 +273,37 @@ def _parse_row(line: str) -> RRRecord:
 def _parse_table(path: str) -> tuple[RRSeries | None, bytes | None]:
     """The rows after the file's header line read as one table, and the bytes read.
 
-    The bytes are read with universal newlines, as open() reads text.  The
-    series is None unless the header is one line to `str.splitlines` and the
-    result provably equals what `_parse_row` makes of each non-blank line:
-    fixed-width rows go to `_parse_fixed`, and in a regular file any other
-    body of printable ASCII with tab and newline to `_load_table`, which has
-    numpy read the file again; the bytes are freed first, and come back None.
+    The file is opened once.  The bytes are read with universal newlines, as
+    open() reads text.  The series is None unless the header is one line to
+    `str.splitlines` and the result provably equals what `_parse_row` makes
+    of each non-blank line: fixed-width rows go to `_parse_fixed`, and any
+    other body of printable ASCII with tab and newline to `_load_table`.
+    numpy reads a seekable file's own handle again, after its bytes are
+    freed, and a pipe's bytes from memory.  The bytes come back None when
+    numpy's table is taken, and read again from the same stream when not.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    start = data.find(b"\n") + 1 or len(data)
-    try:
-        lines = data[:start].decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        return None, data
-    if len(lines) != 1:
-        return None, data
-    series = _parse_fixed(data, start, lines[0])
-    # What translate keeps of the whole file is the header's when the body is plain.
-    if (series is not None or not regular
-            or data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN)):
-        return series, data
-    del data  # freed before numpy reads the file again
-    return _load_table(path, lines[0]), None
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        start = data.find(b"\n") + 1 or len(data)
+        try:
+            [header] = data[:start].decode("utf-8").splitlines()
+        except ValueError:  # not UTF-8, or not one line
+            return None, data
+        series = _parse_fixed(data, start, header)
+        # What translate keeps of the whole file is the header's when the body is plain.
+        if (series is not None
+                or data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN)):
+            return series, data
+        stream = fh if fh.seekable() else io.BytesIO(data)
+        del data  # a seekable file's bytes are freed before numpy reads it
+        stream.seek(0)
+        series = _load_table(stream, header)
+        if series is not None:
+            return series, None
+        stream.seek(0)
+        return None, stream.read()
 
 
 def _horner(rows: np.ndarray, columns, out: np.ndarray, radix=None) -> None:
@@ -398,32 +403,31 @@ def _parse_fixed(data: bytes, start: int, header: str) -> RRSeries | None:
                                   header=header)
 
 
-def _load_table(path: str, header: str) -> RRSeries | None:
-    """The rows after the header line of a file of plain ASCII, by `np.loadtxt`.
+def _load_table(source: io.BufferedIOBase, header: str) -> RRSeries | None:
+    """The rows after the header line of a binary stream of plain ASCII, by `np.loadtxt`.
 
-    The caller has checked that the rest of the file is printable ASCII
-    with tab and newline, where `np.loadtxt` breaks lines and fields as
-    `str.splitlines` and `str.split` do.  Returns None unless every line has
-    four fields that `loadtxt` converts as `int()` and `float()` would;
-    every clock is on the HH:MM:SS.mmm layout; the interval is positive and
-    finite; and no field was cut to its width.  `loadtxt` reads the file
-    again, in large chunks, so names ending in .gz, .bz2, .xz or .lzma,
-    which numpy would decompress, give None too.  A relative path goes to
-    numpy behind "./", which numpy never takes for a URL.
+    The stream stands at the file's start.  The caller has checked that the
+    rest of the file is printable ASCII with tab and newline, where
+    `np.loadtxt` breaks lines and fields as `str.splitlines` and `str.split`
+    do.  numpy reads text through a wrapper with universal newlines, which
+    numpy itself does not apply to a binary stream, and the wrapper is
+    detached after, so the stream stays open.  Returns None unless every
+    line has four fields that `loadtxt` converts as `int()` and `float()`
+    would; every clock is on the HH:MM:SS.mmm layout; the interval is
+    positive and finite; and no field was cut to its width.
     """
-    if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
-        return None
+    text = io.TextIOWrapper(source, encoding="utf-8")
     try:
         with warnings.catch_warnings():
             # An empty table warns.  Older numpy reads "1e3" or "1.0" as an
             # integer after a DeprecationWarning; int() rejects both.
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(os.path.join(os.curdir, path), dtype=_ROW, comments=None,
-                              ndmin=1, skiprows=1, encoding="utf-8")
-    except (ValueError, DeprecationWarning, OSError):
-        # OSError: numpy could not open the path again; open() still reads it.
+            rows = np.loadtxt(text, dtype=_ROW, comments=None, ndmin=1, skiprows=1)
+    except (ValueError, DeprecationWarning):
         return None
+    finally:
+        text.detach()
 
     interval = rows["interval"].copy()
     if not np.all((interval > 0) & (interval < np.inf)):
@@ -448,12 +452,9 @@ def _load_table(path: str, header: str) -> RRSeries | None:
                                   np.zeros(rows.size, dtype=bool), header=header)
 
 
-def _parse_rows(path: str, data: bytes | None) -> RRSeries:
-    """The lines after the header of data, or of the file read again when None,
-    parsed one by one and numbered from 2; all failures raised together."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+def _parse_rows(path: str, data: bytes) -> RRSeries:
+    """The lines after the header of the file's bytes, parsed one by one and
+    numbered from 2; all failures raised together."""
     lines = data.decode("utf-8").splitlines()
     if not lines:
         raise HolterFormatError(f"{path}: empty file")
@@ -496,11 +497,12 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
     """Read one annotated RR file, given its path as a str or `os.PathLike`.
 
-    Rows of fixed-width fields are decoded in place from the bytes read, and
-    other plain ASCII rows of a regular file are read again by `np.loadtxt`,
-    each only where that provably gives the row parser's result for the whole
-    file.  Otherwise the lines, of the bytes read unless numpy read the file,
-    are parsed one by one; all malformed rows are reported with their line numbers.
+    The file is opened once, and what is parsed depends on its bytes alone,
+    whatever kind of file held them.  Rows of fixed-width fields are decoded
+    in place from the bytes read, and other plain ASCII rows are read by
+    `np.loadtxt`, each only where that provably gives the row parser's
+    result for the whole file.  Otherwise the lines are parsed one by one;
+    all malformed rows are reported with their line numbers.
     """
     path = os.fspath(source)
     series, data = _parse_table(path)
@@ -561,7 +563,7 @@ def extract_nocturnal(series: RRSeries, duration: float = 6 * 3600.0) -> RRSerie
     of the series' length, the elapsed times and the interval prefix sums,
     are held at once, and the windows are scored `_WINDOW_STARTS` starts at
     a time, about 0.5 MiB beside them; the window returned shares the
-    series' columns.
+    series' columns.  Intervals whose sum overflows a float raise ValueError.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -575,14 +577,18 @@ def extract_nocturnal(series: RRSeries, duration: float = 6 * 3600.0) -> RRSerie
     if np.any(t[1:] < t[:-1]):
         raise ValueError("clock times step back by more than a day")
     sums = np.zeros(len(t) + 1)
-    np.cumsum(series.interval, out=sums[1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(series.interval, out=sums[1:])
+    # Positive intervals make the sums rise, so any overflow shows in the last.
+    if not np.isfinite(sums[-1]):
+        raise ValueError("the RR intervals sum past the largest float")
     # Candidate starts stop at the first window that would run past the
     # recording: t[-1] - t[i] < duration holds from there on, since t never
     # falls, so bisection finds it.
     stop = bisect.bisect_left(range(len(t)), True, key=lambda i: bool(t[-1] - t[i] < duration))
     # Each window ends before pos, the first record past `duration`.  Every
     # piece keeps its first best start, and the first best of those wins, so
-    # a tie goes to the earliest start, and a NaN mean, as np.argmax has it.
+    # a tie goes to the earliest start.
     pieces = []
     for lo in range(0, stop, _WINDOW_STARTS):
         hi = min(lo + _WINDOW_STARTS, stop)

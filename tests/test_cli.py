@@ -454,6 +454,15 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--cyclic", "--h", "8", "--force-h",
                      "--out", str(tmp_path / "rep")]) == 2
         assert "L=9 for n=7" in capsys.readouterr().err
+        # With two files, the error names the person whose profile failed.
+        data = Path(__file__).parent / "data"
+        assert main(["analyze", str(data / "F_42_221500.txt"), str(data / "M_30_000000.txt"),
+                     "--cyclic", "--h", "20", "--force-h",
+                     "--out", str(tmp_path / "two")]) == 2
+        assert capsys.readouterr().err == (
+            "svrand: input error: M_30_000000: cyclic counting needs pattern length "
+            "L <= n, got L=21 for n=7\n")
+        assert not (tmp_path / "two").exists()
 
     @pytest.mark.parametrize("h", ["100000", "100000000000000000000"])
     def test_forced_history_over_table_budget_is_input_error(self, tmp_path, capsys, h):
@@ -461,7 +470,7 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--h", h, "--force-h",
                      "--out", str(tmp_path / "rep")]) == 2
         assert capsys.readouterr().err == (
-            f"svrand: input error: pattern length bound {int(h) + 1} needs "
+            f"svrand: input error: F_42_221500: pattern length bound {int(h) + 1} needs "
             f"2**{int(h) + 2} table entries, over the budget of 2**27\n")
         assert not (tmp_path / "rep").exists()
 

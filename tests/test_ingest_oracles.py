@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -546,12 +547,17 @@ class TestPipes:
         path.write_bytes(text.encode("utf-8"))
         expected = outcome(lambda: parse_holter(path)[1])
         path.unlink()
-        assert fifo_outcome(path, text) == expected
+        with tiers() as calls:
+            got = fifo_outcome(path, text)
+        assert got == expected
         if content == "malformed":
             assert expected == ("HolterFormatError", f"{path}: line 1501: column 3 "
                                 "(interval): RR interval must be positive, got -0.5")
         else:
             assert expected == row_parse(text)
+        # The FIFO's bytes take the reader a regular file's would.
+        assert calls["table"] == {"variable width": [got], "fixed width": [],
+                                  "malformed": [None]}[content]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_anonymous_pipe_gives_the_series(self):
@@ -566,12 +572,14 @@ class TestPipes:
         writer = threading.Thread(target=write, daemon=True)
         writer.start()
         try:
-            got = parse_in_thread(f"/dev/fd/{read_end}", lambda: None)
+            with tiers() as calls:
+                got = parse_in_thread(f"/dev/fd/{read_end}", lambda: None)
         finally:
             writer.join(PIPE_TIMEOUT)
             os.close(read_end)
         assert not writer.is_alive()
         assert got == row_parse(text)
+        assert calls["table"] == [got]
 
     def test_regular_file_bytes_are_freed_before_numpy_reads_it(self, tmp_path):
         path = tmp_path / "F_42_221500.txt"
@@ -590,6 +598,64 @@ class TestPipes:
             tracemalloc.stop()
         assert len(series) == 20_000
         assert len(held) == 1 and held[0] < path.stat().st_size / 8
+
+
+class TestOneOpen:
+    """A recording is opened once: numpy reads that handle, never the path."""
+
+    def test_loadtxt_is_never_given_a_path(self, tmp_path):
+        path = tmp_path / "F_42_221500.txt"
+        series = synthetic_rr(SourceSpec(n=3000, seed=5))
+        write_holter(series, path)
+        given, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            given.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", spy):
+            assert parse_holter(path)[1] == series
+        assert len(given) == 1 and not isinstance(given[0], (str, os.PathLike))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_carriage_returns_take_the_table(self, newline):
+        # numpy applies no universal newlines to a binary stream: from one
+        # with bare CRs it would read an empty table, and no records.
+        text = serialized(synthetic_rr(SourceSpec(n=3000, seed=5)))
+        with tiers() as calls:
+            series = holter_parse(text.replace("\n", newline))
+        assert calls["table"] == [series]
+        assert series == row_parse(text)
+
+    def test_file_replaced_between_the_reads_gives_the_first(self, tmp_path):
+        path, other = tmp_path / "F_42_221500.txt", tmp_path / "F_43_221500.txt"
+        first = synthetic_rr(SourceSpec(n=3000, seed=5))
+        write_holter(first, path)
+        write_holter(synthetic_rr(SourceSpec(n=2000, seed=6)), other)
+
+        def replace_then_refuse(*args):
+            os.replace(other, path)
+            return None
+
+        with mock.patch.object(ingest, "_parse_fixed", replace_then_refuse):
+            assert parse_holter(path)[1] == first
+
+    def test_file_the_table_refuses_is_opened_once(self, tmp_path):
+        # One clock in raw seconds sends the whole file to the row parser,
+        # which reads the handle numpy read.
+        lines = (Path(__file__).parent / "data" / "F_42_221500.txt").read_text().split("\n")
+        index, clock, interval, label = lines[5].split("\t")
+        hours, minutes, seconds = clock.split(":")
+        raw = round((int(hours) * 60 + int(minutes)) * 60 + float(seconds), 3)
+        lines[5] = "\t".join((index, repr(raw), interval, label))
+        text = "\n".join(lines)
+        path = tmp_path / "F_42_221500.txt"
+        path.write_text(text)
+        with mock.patch("builtins.open", wraps=open) as opened, tiers() as calls:
+            series = parse_holter(path)[1]
+        assert opened.call_count == 1
+        assert calls["fixed"] == [None] and calls["table"] == [None]
+        assert series == row_parse(text)
 
 
 # -- shortest repr digits ----------------------------------------------------
@@ -796,21 +862,23 @@ class TestAgainstLoops:
         with mock.patch.object(ingest, "_WINDOW_STARTS", starts):
             check_nocturnal(series, fraction)
 
-    # Prefix sums of intervals near the float maximum overflow, and numpy
-    # warns of it as the whole-array search did.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:nocturnal window holds")
     def test_nocturnal_window_of_nan_means_in_any_pieces(self):
-        # The means of the windows from start 2 on are inf - inf = NaN, and
-        # np.argmax over all means took the first NaN; a NaN in a piece must
-        # not hide it.
-        series = RRSeries([RRRecord(k, float(k), 1e308, "N") for k in range(20)])
-        whole = extract_nocturnal(series, duration=5.0)
-        assert whole.index.tolist() == list(range(2, 8))
-        for starts in (1, 3, 7):
-            with mock.patch.object(ingest, "_WINDOW_STARTS", starts):
-                assert extract_nocturnal(series, duration=5.0) == whole
+        # Prefix sums of intervals near the float maximum overflow, so that
+        # window means would be inf - inf = NaN: no window is meaningful, and
+        # the search refuses the series, in pieces of any size, without a
+        # RuntimeWarning.
+        n = 30_000
+        beats = RRSeries._from_columns(
+            np.arange(n, dtype=np.int64), np.arange(n) * 0.8 % 86400.0,
+            np.where(np.arange(n) % 2, 1e308, 0.8), np.full(n, "N"), np.zeros(n, dtype=bool))
+        short = RRSeries([RRRecord(k, float(k), 1e308, "N") for k in range(20)])
+        for starts in (1, 3, 7, ingest._WINDOW_STARTS):
+            with mock.patch.object(ingest, "_WINDOW_STARTS", starts), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for series, duration in ((beats, 3600.0), (short, 5.0)):
+                    with pytest.raises(ValueError, match="sum past the largest float"):
+                        extract_nocturnal(series, duration=duration)
 
     @SETTINGS
     @given(times=st.lists(st.floats(-2e5, 2e5), max_size=20))
