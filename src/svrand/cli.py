@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob as globlib
 import os
 import re
@@ -155,11 +156,25 @@ def _expand_inputs(patterns: tuple[str, ...]) -> list[str]:
     return list(paths.values())
 
 
+@contextlib.contextmanager
+def _named(person: str):
+    """Put the person id in front of each ValueError raised and each warning
+    issued inside; the warnings are issued again on the way out."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    except ValueError as exc:
+        raise ValueError(f"{person}: {exc}") from exc
+    finally:
+        for w in caught:
+            warnings.warn_explicit(f"{person}: {w.message}", w.category, w.filename, w.lineno)
+
+
 def _person_bits(path: str, config: RunConfig) -> tuple[PersonMeta, BitSequence]:
     """One recording's identity and bits: parse, in med mode the nocturnal
     window and then editing, the normal beats, the discretizer, the cut."""
     meta, series = parse_holter(path, config.meta_pattern)
-    try:
+    with _named(meta.id):
         if config.mode == "med":
             series = edit_perturbations(extract_nocturnal(series))
         series = filter_normal(series)
@@ -171,31 +186,27 @@ def _person_bits(path: str, config: RunConfig) -> tuple[PersonMeta, BitSequence]
             bits = discretize_mono(series)
         if config.cut is not None:
             bits = cut_trends(bits, TrendCutPattern(*config.cut))
-    except ValueError as exc:
-        raise ValueError(f"{meta.id}: {exc}") from exc
     return meta, bits
 
 
 def _estimate(meta: PersonMeta, bits: BitSequence, config: RunConfig) -> PersonResult:
     n = len(bits)
-    if n < 2:
-        raise ValueError(f"{meta.id}: only {n} bits left after pre-processing")
-    if config.h == "auto":
-        requested = None
-    elif config.h == "loglog":
-        requested = loglog_history(n)
-    else:
-        requested = int(config.h)
-    try:
+    with _named(meta.id):
+        if n < 2:
+            raise ValueError(f"only {n} bits left after pre-processing")
+        if config.h == "auto":
+            requested = None
+        elif config.h == "loglog":
+            requested = loglog_history(n)
+        else:
+            requested = int(config.h)
         profile = epsilon_profile(bits, requested, mode=config.counting,
                                   force_h=config.force_h)
-    except ValueError as exc:
-        raise ValueError(f"{meta.id}: {exc}") from exc
-    weighted = None
-    try:
-        weighted = weighted_epsilon(profile)
-    except ValueError as exc:
-        warnings.warn(f"{meta.id}: weighted epsilon unavailable: {exc}")
+        weighted = None
+        try:
+            weighted = weighted_epsilon(profile)
+        except ValueError as exc:
+            warnings.warn(f"weighted epsilon unavailable: {exc}")
     return PersonResult(meta=meta, profile=profile, weighted=weighted, mode_tag=config.tag)
 
 

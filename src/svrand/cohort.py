@@ -83,9 +83,9 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float, float, floa
     v = np.partition(arr, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
     a, b = v[lo], v[hi]
     frac = pos - lo
-    diff = b - a
-    qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
     with np.errstate(over="ignore", invalid="ignore"):
+        diff = b - a
+        qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
         mean = np.mean(arr)
     if not np.isfinite(mean):  # the sum overflowed; the mean of finite values does not
         mean = np.sum(arr / arr.size)

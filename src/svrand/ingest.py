@@ -270,42 +270,6 @@ def _parse_row(line: str) -> RRRecord:
         raise ValueError(f"column 3 (interval): {exc}") from None
 
 
-def _parse_table(path: str) -> tuple[RRSeries | None, bytes | None]:
-    """The rows after the file's header line read as one table, and the bytes read.
-
-    The file is opened once.  The bytes are read with universal newlines, as
-    open() reads text.  The series is None unless the header is one line to
-    `str.splitlines` and the result provably equals what `_parse_row` makes
-    of each non-blank line: fixed-width rows go to `_parse_fixed`, and any
-    other body of printable ASCII with tab and newline to `_load_table`.
-    numpy reads a seekable file's own handle again, after its bytes are
-    freed, and a pipe's bytes from memory.  The bytes come back None when
-    numpy's table is taken, and read again from the same stream when not.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        start = data.find(b"\n") + 1 or len(data)
-        try:
-            [header] = data[:start].decode("utf-8").splitlines()
-        except ValueError:  # not UTF-8, or not one line
-            return None, data
-        series = _parse_fixed(data, start, header)
-        # What translate keeps of the whole file is the header's when the body is plain.
-        if (series is not None
-                or data.translate(None, _PLAIN) != data[:start].translate(None, _PLAIN)):
-            return series, data
-        stream = fh if fh.seekable() else io.BytesIO(data)
-        del data  # a seekable file's bytes are freed before numpy reads it
-        stream.seek(0)
-        series = _load_table(stream, header)
-        if series is not None:
-            return series, None
-        stream.seek(0)
-        return None, stream.read()
-
-
 def _horner(rows: np.ndarray, columns, out: np.ndarray, radix=None) -> None:
     """The ASCII digits in the given columns of each row, read as one number into out.
 
@@ -497,15 +461,39 @@ def parse_holter(source, meta_pattern: str = DEFAULT_META_PATTERN
                  ) -> tuple[PersonMeta, RRSeries]:
     """Read one annotated RR file, given its path as a str or `os.PathLike`.
 
-    The file is opened once, and what is parsed depends on its bytes alone,
-    whatever kind of file held them.  Rows of fixed-width fields are decoded
-    in place from the bytes read, and other plain ASCII rows are read by
-    `np.loadtxt`, each only where that provably gives the row parser's
-    result for the whole file.  Otherwise the lines are parsed one by one;
-    all malformed rows are reported with their line numbers.
+    The file is opened once and read as bytes with universal newlines, as
+    open() reads text, and what is parsed depends on those bytes alone,
+    whatever kind of file held them.  Under a header that is one line to
+    `str.splitlines`, fixed-width rows are decoded in place (`_parse_fixed`),
+    and any other body of printable ASCII with tab and newline is read by
+    `np.loadtxt` (`_load_table`) from a seekable file's own handle, after
+    the bytes are freed, or from a pipe's bytes in memory; each only where
+    that provably gives the row parser's result for the whole file.
+    Otherwise the lines are parsed one by one, from the bytes read or the
+    stream read again, and all malformed rows are reported with their line
+    numbers.
     """
     path = os.fspath(source)
-    series, data = _parse_table(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        start = data.find(b"\n") + 1 or len(data)
+        try:
+            [header] = data[:start].decode("utf-8").splitlines()
+        except ValueError:  # not UTF-8, or not one line
+            header = None
+        series = None if header is None else _parse_fixed(data, start, header)
+        # What translate keeps of the whole file is the header's when the body is plain.
+        if series is None and header is not None and (
+                data.translate(None, _PLAIN) == data[:start].translate(None, _PLAIN)):
+            stream = fh if fh.seekable() else io.BytesIO(data)
+            del data  # a seekable file's bytes are freed before numpy reads it
+            stream.seek(0)
+            series = _load_table(stream, header)
+            if series is None:
+                stream.seek(0)
+                data = stream.read()
     if series is None:
         series = _parse_rows(path, data)
     if not len(series):
@@ -617,8 +605,6 @@ def edit_perturbations(series: RRSeries) -> RRSeries:
     history for later runs.
     """
     abnormal = series.annotation != NORMAL_ANNOTATION
-    if not abnormal.any():
-        return series
     # Run bounds alternate: start of a run, end of it, start of the next...
     padded = np.concatenate(([False], abnormal, [False]))
     bounds = np.flatnonzero(padded[1:] != padded[:-1]).tolist()

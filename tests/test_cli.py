@@ -11,7 +11,8 @@ from conftest import read_rows
 
 from svrand.cli import RunConfig, main
 from svrand.estimator import epsilon_profile, weighted_epsilon
-from svrand.ingest import edit_perturbations, extract_nocturnal, filter_normal, parse_holter
+from svrand.ingest import (edit_perturbations, extract_nocturnal, filter_normal, parse_holter,
+                           write_holter)
 from svrand.report import fmt6
 from svrand.synth import SourceSpec, synthetic_rr
 from svrand.transform import discretize_accel
@@ -118,6 +119,25 @@ class TestAnalyzeCommand:
         assert "floor(log2 n) - 1 = 8" in err and "clamped" in err
         (row,) = read_rows((out / "persons.csv").read_text())
         assert int(row["H"]) == 8
+
+    def test_clamp_warnings_name_each_person(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        assert main(["analyze", str(data / "F_42_221500.txt"), str(data / "M_30_000000.txt"),
+                     "--h", "12", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: F_42_221500: requested history length 12 exceeds floor(log2 n) - 1 = 10 "
+            "for n=4095; clamped to 10\n"
+            "warning: M_30_000000: requested history length 12 exceeds floor(log2 n) - 1 = 1 "
+            "for n=7; clamped to 1\n")
+
+    def test_thin_night_window_warning_names_the_person(self, tmp_path, capsys, make_series):
+        # 1.1 s and 1.3 s beats put 18 001 records in the six-hour window.
+        path = tmp_path / "F_42_221500.txt"
+        write_holter(make_series([1.1, 1.3] * 10_000), path)
+        assert main(["analyze", str(path), "--mode", "med", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: F_42_221500: nocturnal window holds 18001 records, fewer than the "
+            "recommended 20000\n")
 
     def test_force_h_overrides_bound(self, tmp_path, capsys):
         path = synth_file(tmp_path, n=1001)

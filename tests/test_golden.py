@@ -14,6 +14,7 @@ import pytest
 from svrand.cli import RunConfig, _resolve_config, build_parser, main
 from svrand.ingest import (NOCTURNAL_MIN_RECORDS, edit_perturbations, extract_nocturnal,
                            parse_holter)
+from test_ingest_oracles import tiers
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -74,6 +75,18 @@ def test_stats_matches_golden(tmp_path, monkeypatch, capsys):
     assert main(["stats", "golden/default/persons.csv", "--out", str(tmp_path)]) == 0
     for name in ("cohorts.csv", "cohorts.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "stats" / name).read_bytes(), name
+
+
+def test_crlf_copy_writes_the_med_reports(tmp_path, monkeypatch, capsys):
+    # Universal newlines give a CRLF copy of the night recording the
+    # fixed-width reader, as the plain copy's 3-decimal intervals do.
+    (tmp_path / NIGHT).write_bytes((DATA / NIGHT).read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.chdir(tmp_path)
+    with tiers() as calls:
+        assert main(VARIANTS["mode_med"] + ["--out", "out"]) == 0
+    assert len(calls["fixed"]) == 1 and calls["fixed"][0] is not None
+    for name in REPORTS:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / "mode_med" / name).read_bytes()
 
 
 def test_night_recording_exercises_editing():

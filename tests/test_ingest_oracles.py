@@ -259,12 +259,11 @@ class TestBulkParse:
     @given(text=valid_files(on_layout_clocks))
     def test_equals_row_parser_on_valid_files(self, text):
         # CRLF line ends included: the table path decides.
-        with written(text) as path:
-            table, _ = ingest._parse_table(path)
+        with written(text) as path, tiers() as calls:
             series = parse_holter(path)[1]
         expected = row_parse(text)
-        assert table is not None
-        assert table == series == expected
+        assert taken(calls) == [series]
+        assert series == expected
         assert series.annotation.dtype == expected.annotation.dtype
         assert series.records == expected.records
 
@@ -273,11 +272,10 @@ class TestBulkParse:
     def test_off_layout_clock_sends_the_file_to_the_row_parser(self, text):
         # The table tiers take a whole file or refuse it: one clock off the
         # HH:MM:SS.mmm layout, such as raw seconds, and no rows come from them.
-        with written(text) as path:
-            table, _ = ingest._parse_table(path)
+        with written(text) as path, tiers() as calls:
             series = parse_holter(path)[1]
         expected = row_parse(text)
-        assert table is None
+        assert taken(calls) == []
         assert series == expected
         assert series.annotation.dtype == expected.annotation.dtype
 
@@ -308,12 +306,12 @@ class TestBulkParse:
     def test_annotation_width_boundary(self, annotation, table_path):
         # An annotation of 16 or more characters would fill its table field.
         text = f"hdr\n1 00:00:01.000 0.8 N\n2 00:00:02.000 0.8 {annotation}\n"
-        with written(text) as path:
-            table, _ = ingest._parse_table(path)
-        assert (table is not None) == table_path
+        with tiers() as calls:
+            got = holter_parse(text)
+        assert bool(taken(calls)) == table_path
         series = row_parse(text)
         assert series.annotation[-1] == annotation
-        assert holter_parse(text) == series
+        assert got == series
 
     def test_many_errors_listed_as_by_rows(self):
         text = "hdr\n" + "".join(f"{k} 00:00:0{k}.000 -1 N\n" for k in range(9))
@@ -398,6 +396,11 @@ def tiers():
     with mock.patch.object(ingest, "_parse_fixed", spy_fixed), \
             mock.patch.object(ingest, "_load_table", spy_table):
         yield calls
+
+
+def taken(calls):
+    """The series the byte tiers returned: none when both refused the file."""
+    return [series for series in calls["fixed"] + calls["table"] if series is not None]
 
 
 def near_miss(line: str, kind: str) -> str:
@@ -580,6 +583,37 @@ class TestPipes:
         assert not writer.is_alive()
         assert got == row_parse(text)
         assert calls["table"] == [got]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_day_long_recording_through_a_pipe(self, tmp_path):
+        # A 100 000-beat `svrand synth` file through a pipe: numpy reads it
+        # once, from the parser's own stream and never by path, and the
+        # series equals the regular file's.
+        path = tmp_path / "F_42_221500.txt"
+        write_holter(synthetic_rr(SourceSpec(n=10**5, seed=3)), path)
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        given, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            given.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            with mock.patch.object(np, "loadtxt", spy):
+                got = parse_in_thread(f"/dev/fd/{read_end}", lambda: None)
+        finally:
+            writer.join(PIPE_TIMEOUT)
+            os.close(read_end)
+        assert not writer.is_alive()
+        assert len(given) == 1 and not isinstance(given[0], (str, os.PathLike))
+        assert len(got) == 10**5 and got == parse_holter(path)[1]
 
     def test_regular_file_bytes_are_freed_before_numpy_reads_it(self, tmp_path):
         path = tmp_path / "F_42_221500.txt"
@@ -852,6 +886,12 @@ class TestAgainstLoops:
     @given(series=recordings(), fraction=st.floats(0.01, 1.0))
     def test_nocturnal_window(self, series, fraction):
         check_nocturnal(series, fraction)
+
+    def test_nocturnal_window_of_a_day_long_recording(self):
+        # 100 000 beats, as in a bench recording: the candidate starts span
+        # several pieces, and the elapsed-time sums run at full size.
+        series = synthetic_rr(SourceSpec(n=10**5, seed=3))
+        assert extract_nocturnal(series) == nocturnal_loop(series, 6 * 3600.0)
 
     @pytest.mark.parametrize("starts", [1, 3, 7])
     @SETTINGS
